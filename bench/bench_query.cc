@@ -9,9 +9,10 @@
 // the sub-linear claim, gated exactly.
 //
 // CI gating (tools/bench_compare.py): result_matches / rules_visited /
-// memo_entries / memo_hits / tree_nodes are deterministic for the
-// pinned workload and must match the committed BENCH_query.json
-// exactly; engine_ms / oracle_ms / speedup are advisory timings.
+// memo_entries / memo_hits / body_nodes / tree_nodes are deterministic
+// for the pinned workload and must match the committed
+// BENCH_query.json exactly; engine_ms / oracle_ms / speedup are
+// advisory timings.
 // rules is workload context. The bench itself hard-checks
 // rules_visited <= rule count and engine == oracle on every query.
 //
@@ -176,7 +177,8 @@ int Run(int argc, char** argv) {
     std::string tag = FrequentTag(g);
 
     TablePrinter table({"query", "matches", "rules visited", "memo entries",
-                        "memo hits", "engine ms", "scan ms", "speedup"});
+                        "memo hits", "body nodes", "engine ms", "scan ms",
+                        "speedup"});
     for (const QueryCase& q : CasesFor(tag)) {
       CaseResult r = RunCase(g, eng, q, reps);
       double speedup = r.engine_ms > 0 ? r.oracle_ms / r.engine_ms : 0;
@@ -184,6 +186,7 @@ int Run(int argc, char** argv) {
                     TablePrinter::Num(r.stats.rules_visited),
                     TablePrinter::Num(r.stats.memo_entries),
                     TablePrinter::Num(r.stats.memo_hits),
+                    TablePrinter::Num(r.stats.body_nodes),
                     TablePrinter::Fixed(r.engine_ms, 3),
                     TablePrinter::Fixed(r.oracle_ms, 3),
                     TablePrinter::Fixed(speedup, 1)});
@@ -192,6 +195,7 @@ int Run(int argc, char** argv) {
                 {"rules_visited", static_cast<double>(r.stats.rules_visited)},
                 {"memo_entries", static_cast<double>(r.stats.memo_entries)},
                 {"memo_hits", static_cast<double>(r.stats.memo_hits)},
+                {"body_nodes", static_cast<double>(r.stats.body_nodes)},
                 {"rules", static_cast<double>(g.RuleCount())},
                 {"engine_ms", r.engine_ms},
                 {"oracle_ms", r.oracle_ms},
@@ -209,7 +213,7 @@ int Run(int argc, char** argv) {
   // counters are gated exactly.
   std::printf("scaling (weblog, count(//tag))\n");
   TablePrinter stable({"scale", "tree nodes", "rules", "rules visited",
-                       "memo entries", "engine ms", "scan ms"});
+                       "memo entries", "body nodes", "engine ms", "scan ms"});
   const double kScales[] = {0.005, 0.01, 0.02, 0.04};
   int si = 0;
   for (double s : kScales) {
@@ -225,6 +229,7 @@ int Run(int argc, char** argv) {
                    TablePrinter::Num(g.RuleCount()),
                    TablePrinter::Num(r.stats.rules_visited),
                    TablePrinter::Num(r.stats.memo_entries),
+                   TablePrinter::Num(r.stats.body_nodes),
                    TablePrinter::Fixed(r.engine_ms, 3),
                    TablePrinter::Fixed(r.oracle_ms, 3)});
     json.Add("query/scaling/weblog/s" + std::to_string(si++),
@@ -232,6 +237,7 @@ int Run(int argc, char** argv) {
               {"rules", static_cast<double>(g.RuleCount())},
               {"rules_visited", static_cast<double>(r.stats.rules_visited)},
               {"memo_entries", static_cast<double>(r.stats.memo_entries)},
+              {"body_nodes", static_cast<double>(r.stats.body_nodes)},
               {"result_matches", static_cast<double>(r.answer)},
               {"engine_ms", r.engine_ms},
               {"oracle_ms", r.oracle_ms}});

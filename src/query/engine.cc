@@ -37,24 +37,26 @@ class Evaluator {
   const QueryStats& stats() const { return stats_; }
 
   // Memoizes (rule, ctx) and everything it transitively needs, then
-  // returns the entry. Iterative worklist: a rule whose body calls
-  // rules with not-yet-known contexts re-runs after those resolve;
-  // each retry peels one level of call nesting inside the body, and
-  // the rule DAG is acyclic, so the stack drains.
+  // returns the entry. Passes run on an explicit stack: a pass that
+  // reaches a call whose (callee, ctx) is not memoized yet suspends
+  // there and pushes the callee's pass; once that one is memoized the
+  // caller resumes at the same call, where the lookup now hits. Every
+  // memo entry's body is thus walked exactly once. The rule DAG is
+  // acyclic, so no rule repeats on the stack and its depth stays
+  // within the DAG's height.
   const MemoEntry* Ensure(LabelId rule, uint64_t ctx) {
-    std::vector<Job> stack{{rule, ctx}};
+    std::vector<Pass> stack;
+    stack.push_back(Begin(rule, ctx));
     while (!stack.empty()) {
-      Job j = stack.back();
-      if (Lookup(j.rule, j.ctx) != nullptr) {
+      Pass& p = stack.back();
+      NodeId v = Advance(&p);
+      if (v == kNilNode) {
+        Finish(&p);
         stack.pop_back();
         continue;
       }
-      std::vector<Job> missing;
-      if (TryEval(j.rule, j.ctx, &missing)) {
-        stack.pop_back();
-      } else {
-        for (const Job& m : missing) stack.push_back(m);
-      }
+      stack.push_back(Begin(meta_.Rhs(p.rule).label(v),
+                            p.ctx[static_cast<size_t>(v)]));
     }
     return Lookup(rule, ctx);
   }
@@ -162,9 +164,16 @@ class Evaluator {
   }
 
  private:
-  struct Job {
+  // One (rule, ctx) evaluation in progress: the body's preorder, the
+  // cursor into it, and the per-node flow contexts and material match
+  // contributions gathered so far.
+  struct Pass {
     LabelId rule;
-    uint64_t ctx;
+    uint64_t q;
+    std::vector<NodeId> order;
+    size_t next = 0;
+    std::vector<uint64_t> ctx;
+    std::vector<int64_t> contrib;
   };
 
   // A descent frame: the rule we are inside, the call node in the
@@ -196,21 +205,25 @@ class Evaluator {
     return sum_.InContext(f.rule, c, m, f.match_prefix);
   }
 
-  // One forward-then-backward pass over the rule body under context
-  // q. Returns false — storing nothing — when a call's (callee, ctx)
-  // is not memoized yet; the missing pairs are reported for the
-  // worklist and the deeper contexts they unblock surface on retry.
-  bool TryEval(LabelId r, uint64_t q, std::vector<Job>* missing) {
-    const Tree& t = meta_.Rhs(r);
-    std::vector<NodeId> order = t.Preorder();
+  Pass Begin(LabelId r, uint64_t q) const {
+    Pass p{r, q, meta_.Rhs(r).Preorder(), 0, {}, {}};
     NodeId max_id = 0;
-    for (NodeId v : order) max_id = std::max(max_id, v);
-    std::vector<uint64_t> ctx(static_cast<size_t>(max_id) + 1, 0);
-    std::vector<int64_t> contrib(static_cast<size_t>(max_id) + 1, 0);
-    ctx[static_cast<size_t>(meta_.RhsRoot(r))] = q;
-    bool complete = true;
-    int64_t local_hits = 0;
-    for (NodeId v : order) {
+    for (NodeId v : p.order) max_id = std::max(max_id, v);
+    p.ctx.assign(static_cast<size_t>(max_id) + 1, 0);
+    p.contrib.assign(static_cast<size_t>(max_id) + 1, 0);
+    p.ctx[static_cast<size_t>(meta_.RhsRoot(r))] = q;
+    return p;
+  }
+
+  // Forward (preorder) part of the pass: flows contexts down the body
+  // from the cursor on. Returns kNilNode once the whole body is done,
+  // or the call node it stopped at — without stepping past it — when
+  // the call's (callee, ctx) is not memoized yet.
+  NodeId Advance(Pass* p) {
+    const Tree& t = meta_.Rhs(p->rule);
+    std::vector<uint64_t>& ctx = p->ctx;
+    for (; p->next < p->order.size(); ++p->next) {
+      NodeId v = p->order[p->next];
       uint64_t u = ctx[static_cast<size_t>(v)];
       LabelId l = t.label(v);
       if (meta_.ParamIndex(l) > 0) continue;
@@ -220,8 +233,8 @@ class Evaluator {
           if (CanPrune(l, u)) {
             arg_default = u;
           } else if (const MemoEntry* e = Lookup(l, u)) {
-            ++local_hits;
-            contrib[static_cast<size_t>(v)] = e->count;
+            ++stats_.memo_hits;
+            p->contrib[static_cast<size_t>(v)] = e->count;
             size_t j = 0;
             for (NodeId c = t.first_child(v); c != kNilNode;
                  c = t.next_sibling(c)) {
@@ -229,10 +242,7 @@ class Evaluator {
             }
             continue;
           } else {
-            missing->push_back(Job{l, u});
-            complete = false;
-            // Leave the arguments on the empty context: their real
-            // contexts are unknowable until the callee resolves.
+            return v;
           }
         }
         for (NodeId c = t.first_child(v); c != kNilNode;
@@ -243,7 +253,9 @@ class Evaluator {
       }
       // Terminal.
       uint64_t own = plan_.Own(u, l, bound_);
-      if ((own & plan_.AcceptBit()) != 0) contrib[static_cast<size_t>(v)] = 1;
+      if ((own & plan_.AcceptBit()) != 0) {
+        p->contrib[static_cast<size_t>(v)] = 1;
+      }
       NodeId c1 = t.first_child(v);
       if (c1 != kNilNode) {
         ctx[static_cast<size_t>(c1)] = own & ~plan_.AcceptBit();
@@ -257,33 +269,39 @@ class Evaluator {
         }
       }
     }
-    if (!complete) return false;
-    // Bottom-up material match counts; parameters hold zero — callers
-    // add argument counts through the summary's parameter intervals.
-    std::vector<int64_t> nm(static_cast<size_t>(max_id) + 1, 0);
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    return kNilNode;
+  }
+
+  // Backward part of a completed pass: turns the contributions,
+  // bottom-up and in place, into per-node material match counts, then
+  // stores the memo entry. Parameters hold zero — callers add argument
+  // counts through the summary's parameter intervals.
+  void Finish(Pass* p) {
+    const Tree& t = meta_.Rhs(p->rule);
+    std::vector<int64_t>& nm = p->contrib;
+    for (auto it = p->order.rbegin(); it != p->order.rend(); ++it) {
       NodeId v = *it;
-      int64_t n = contrib[static_cast<size_t>(v)];
+      int64_t n = nm[static_cast<size_t>(v)];
       for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
         n = SizeSatAdd(n, nm[static_cast<size_t>(c)]);
       }
       nm[static_cast<size_t>(v)] = n;
     }
+    LabelId r = p->rule;
     MemoEntry e;
     e.count = nm[static_cast<size_t>(meta_.RhsRoot(r))];
     int rank = meta_.Rank(r);
     e.exits.resize(static_cast<size_t>(rank));
     for (int j = 1; j <= rank; ++j) {
       e.exits[static_cast<size_t>(j - 1)] =
-          ctx[static_cast<size_t>(meta_.ParamNode(r, j))];
+          p->ctx[static_cast<size_t>(meta_.ParamNode(r, j))];
     }
     if (need_matches_) e.matches = std::move(nm);
     auto& m = memo_[static_cast<size_t>(r)];
     if (m.empty()) ++stats_.rules_visited;
-    m.emplace(q, std::move(e));
+    m.emplace(p->q, std::move(e));
     ++stats_.memo_entries;
-    stats_.memo_hits += local_hits;
-    return true;
+    stats_.body_nodes += static_cast<int64_t>(p->order.size());
   }
 
   const Grammar& g_;

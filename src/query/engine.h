@@ -16,9 +16,14 @@
 //                 at every instantiation,
 //   * matches   — per-body-node material match counts (only for
 //                 first/nth, which descend by them).
+// Each memo entry's body is walked exactly once: a pass that reaches
+// a call whose (callee, ctx) is unknown suspends there, evaluates the
+// callee first and resumes at the same node. Evaluation therefore
+// costs O(Σ |rhs(rule)|) summed over the memo entries (reported as
+// body_nodes), plus one hash lookup per call site, with no recursion.
 // Since a document's rule set is shared massively across the tree,
 // the number of (rule, ctx) pairs — and so the work — is typically
-// far below the document size; rules_visited is bounded by the rule
+// far below the document size: memo_entries is bounded by the rule
 // count times the number of distinct contexts, and the contexts seen
 // in practice collapse to a handful.
 //
@@ -62,6 +67,7 @@ struct QueryStats {
   int64_t rules_visited = 0;
   int64_t memo_entries = 0;  // distinct (rule, ctx) pairs evaluated
   int64_t memo_hits = 0;     // call sites answered from the memo
+  int64_t body_nodes = 0;    // rule-body nodes the evaluation walked
 };
 
 struct QueryResult {

@@ -46,6 +46,17 @@ inline Grammar ParameterizedChainGrammar(int levels = 8) {
   return GrammarFromRules(rules).take();
 }
 
+// A start body nesting k calls of one rank-1 rule inside each other's
+// arguments: S -> r(A(A(...A(~)...)),~), A -> a($1,~). The derived
+// document is the chain r/a/a/.../a of depth k+1, and the path
+// /r/a/.../a reaches every nesting level under a context of its own,
+// known only once the level above it has been evaluated.
+inline Grammar NestedCallGrammar(int k) {
+  std::string body = "~";
+  for (int i = 0; i < k; ++i) body = "A(" + body + ")";
+  return GrammarFromRules({"S -> r(" + body + ",~)", "A -> a($1,~)"}).take();
+}
+
 }  // namespace slg
 
 #endif  // SLG_TESTS_EXPONENTIAL_GRAMMARS_H_

@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/grammar_repair.h"
@@ -114,6 +116,67 @@ std::vector<int64_t> OracleMatches(const Tree& t, const LabelTable& labels,
 }
 
 // ---------------------------------------------------------------------------
+// Work bound: the (rule, ctx) pairs a full evaluation must memoize,
+// found by plain recursion over the rule DAG — a call reached under a
+// non-empty context that the label filter cannot prune needs its
+// callee's pair. Shares the plan and the summary's label filter with
+// the engine, not its evaluation loop. A pass that walks each memo
+// entry's body once keeps body_nodes <= the sum of |rhs| over them.
+
+struct MemoPairs {
+  const RuleMeta& meta;
+  const RuleSummary& sum;
+  const QueryPlan& plan;
+  const std::vector<LabelId>& binding;
+  std::map<std::pair<LabelId, uint64_t>, std::vector<uint64_t>> exits;
+
+  bool Prunable(LabelId rule, uint64_t ctx) const {
+    if (!plan.OnlyDescendantStates(ctx)) return false;
+    for (uint64_t bits = ctx; bits != 0; bits &= bits - 1) {
+      size_t i = static_cast<size_t>(plan.StateStep(__builtin_ctzll(bits)));
+      if (plan.query().steps[i].wildcard) return false;
+      if (binding[i] != kNoLabel && sum.MayContain(rule, binding[i])) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // The contexts rule r hands its parameters under context q.
+  std::vector<uint64_t> Eval(LabelId r, uint64_t q) {
+    auto key = std::make_pair(r, q);
+    if (auto it = exits.find(key); it != exits.end()) return it->second;
+    const Tree& t = meta.Rhs(r);
+    std::map<NodeId, uint64_t> ctx = {{meta.RhsRoot(r), q}};
+    for (NodeId v : t.Preorder()) {
+      uint64_t u = ctx[v];
+      LabelId l = t.label(v);
+      if (meta.ParamIndex(l) > 0) continue;
+      std::vector<uint64_t> out;  // per child, in order
+      if (!meta.IsNonterminal(l)) {
+        out = {plan.Own(u, l, binding) & ~plan.AcceptBit(),
+               plan.Next(u, l, binding)};
+      } else if (u != 0 && !Prunable(l, u)) {
+        out = Eval(l, u);
+      } else {
+        out.assign(static_cast<size_t>(meta.Rank(l)), u);
+      }
+      size_t j = 0;
+      for (NodeId c = t.first_child(v); c != kNilNode;
+           c = t.next_sibling(c), ++j) {
+        ctx[c] = j < out.size() ? out[j] : 0;
+      }
+    }
+    std::vector<uint64_t> ex;
+    for (int j = 1; j <= meta.Rank(r); ++j) {
+      ex.push_back(ctx[meta.ParamNode(r, j)]);
+    }
+    exits[key] = ex;
+    return ex;
+  }
+};
+
+// ---------------------------------------------------------------------------
 // Differential harness.
 
 struct EngineFixture {
@@ -139,6 +202,31 @@ struct EngineFixture {
     return {names.begin(), names.end()};
   }
 
+  void CheckWorkBound(const Query& q, const QueryStats& stats) const {
+    std::vector<LabelId> binding(q.steps.size(), kNoLabel);
+    for (size_t i = 0; i < q.steps.size(); ++i) {
+      if (q.steps[i].wildcard) continue;
+      binding[i] = g.labels().Find(q.steps[i].label);
+      if (binding[i] == kNoLabel) {
+        EXPECT_EQ(stats.body_nodes, 0);  // answered without evaluating
+        return;
+      }
+    }
+    StatusOr<QueryPlan> plan = QueryPlan::Compile(q);
+    ASSERT_TRUE(plan.ok());
+    MemoPairs ref{meta, summary, plan.value(), binding, {}};
+    ref.Eval(g.start(), plan.value().InitialContext());
+    std::set<LabelId> rules;
+    int64_t walked = 0;
+    for (const auto& [key, exits] : ref.exits) {
+      rules.insert(key.first);
+      walked += static_cast<int64_t>(meta.Rhs(key.first).Preorder().size());
+    }
+    EXPECT_EQ(stats.memo_entries, static_cast<int64_t>(ref.exits.size()));
+    EXPECT_EQ(stats.rules_visited, static_cast<int64_t>(rules.size()));
+    EXPECT_LE(stats.body_nodes, walked);
+  }
+
   void Check(const std::string& path) const {
     SCOPED_TRACE("path: " + path);
     StatusOr<Query> parsed = Query::Parse("count(" + path + ")");
@@ -150,6 +238,7 @@ struct EngineFixture {
     ASSERT_TRUE(count.ok()) << count.status().ToString();
     EXPECT_EQ(count.value().count, n);
     EXPECT_LE(count.value().stats.rules_visited, g.RuleCount());
+    CheckWorkBound(parsed.value(), count.value().stats);
 
     StatusOr<QueryResult> exists = engine.Run("exists(" + path + ")");
     ASSERT_TRUE(exists.ok());
@@ -271,6 +360,34 @@ TEST(QueryEngineTest, MemoizationBeatsDocumentSize) {
   StatusOr<QueryResult> all = eng.Run("count(//*)");
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all.value().count, (int64_t{1} << 21) - 1);
+}
+
+TEST(QueryEngineTest, NestedCallsWalkEachBodyOnce) {
+  // Each nesting level of the start body reaches A under a context of
+  // its own, known only after the level above is memoized. Resuming
+  // the start body at the unresolved call keeps the work linear in the
+  // nesting depth; re-walking the body once per level is quadratic.
+  auto body_nodes = [](int k) -> int64_t {
+    Grammar g = NestedCallGrammar(k);
+    RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
+    RuleSummary sum = RuleSummary::Build(g, meta);
+    QueryEngine eng(&g, &meta, &sum);
+    std::string path = "/r";
+    for (int i = 0; i < k; ++i) path += "/a";
+    StatusOr<QueryResult> r = eng.Run("count(" + path + ")");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return 0;
+    EXPECT_EQ(r.value().count, 1);
+    EXPECT_EQ(r.value().stats.memo_entries, k + 1);
+    EXPECT_EQ(r.value().stats.memo_hits, k);
+    return r.value().stats.body_nodes;
+  };
+  const int64_t n12 = body_nodes(12);
+  const int64_t n24 = body_nodes(24);
+  const int64_t n48 = body_nodes(48);
+  EXPECT_GT(n12, 0);
+  EXPECT_LE(n24, 2 * n12);
+  EXPECT_LE(n48, 2 * n24);
 }
 
 TEST(QueryParseTest, RoundTripAndErrors) {
