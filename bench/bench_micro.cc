@@ -5,7 +5,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/bench_util/reporting.h"
+#include "src/common/rng.h"
 #include "src/core/call_graph_cache.h"
 #include "src/core/cursor.h"
 #include "src/core/grammar_repair.h"
@@ -17,11 +25,13 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/repair/tree_repair.h"
+#include "src/service/snapshot.h"
 #include "src/update/batch.h"
 #include "src/update/path_isolation.h"
 #include "src/update/update_ops.h"
 #include "src/workload/update_workload.h"
 #include "src/xml/binary_encoding.h"
+#include "src/xml/xml_writer.h"
 
 namespace slg {
 namespace {
@@ -159,6 +169,87 @@ void BM_CursorSiblingScan(benchmark::State& state) {
   state.SetItemsProcessed(scanned);
 }
 BENCHMARK(BM_CursorSiblingScan);
+
+// Point reads on an immutable snapshot: XMark at scale 1 ingested by
+// the 4-shard pipeline, read at Zipf(0.99) ranks hashed over the
+// document's positions, and FindElement cases (tag, k <= 64) drawn
+// from the tags' occurrences — the read mix of the end-to-end
+// query-xmark workload (e2ebench/e2e_bench.cc, seed 1).
+struct SnapshotFixture {
+  std::shared_ptr<const GrammarSnapshot> snap;
+  std::vector<int64_t> positions;
+  std::vector<std::pair<std::string, int64_t>> finds;
+
+  static SnapshotFixture& Get() {
+    static SnapshotFixture* f = [] {
+      auto* fx = new SnapshotFixture;
+      CompressOptions o;
+      o.num_threads = 4;
+      o.num_shards = 4;
+      fx->snap = CompressXmlToSnapshot(
+                     WriteXml(GenerateCorpus(Corpus::kXMark, 1.0,
+                                             1000003ULL + 17)),
+                     o)
+                     .take();
+      const int64_t n = fx->snap->node_count();
+      std::vector<double> cdf;
+      double sum = 0;
+      for (int64_t r = 1; r <= n; ++r) {
+        sum += 1.0 / std::pow(static_cast<double>(r), 0.99);
+        cdf.push_back(sum);
+      }
+      Rng rng(1);
+      for (int i = 0; i < 4096; ++i) {
+        double u = static_cast<double>(rng.Next() >> 11) / 9007199254740992.0;
+        uint64_t rank = static_cast<uint64_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u * sum) - cdf.begin());
+        fx->positions.push_back(
+            1 + static_cast<int64_t>((rank * 0x9E3779B97F4A7C15ULL) %
+                                     static_cast<uint64_t>(n)));
+      }
+      const Grammar& g = fx->snap->grammar();
+      Tree full = Value(g).take();
+      std::map<LabelId, int64_t> occurrences;
+      full.VisitPreorder(full.root(), [&](NodeId v) {
+        if (full.label(v) != kNullLabel) ++occurrences[full.label(v)];
+      });
+      std::vector<std::pair<LabelId, int64_t>> tags(occurrences.begin(),
+                                                    occurrences.end());
+      for (int i = 0; i < 1024; ++i) {
+        const auto& [tag, count] = tags[rng.Below(tags.size())];
+        fx->finds.emplace_back(
+            std::string(g.labels().Name(tag)),
+            1 + static_cast<int64_t>(rng.Below(static_cast<uint64_t>(
+                    std::min<int64_t>(count, 64)))));
+      }
+      return fx;
+    }();
+    return *f;
+  }
+};
+
+void BM_SnapshotLabelAt(benchmark::State& state) {
+  SnapshotFixture& f = SnapshotFixture::Get();
+  size_t i = 0;
+  for (auto _ : state) {
+    auto l = f.snap->LabelAt(f.positions[i++ % f.positions.size()]);
+    benchmark::DoNotOptimize(l.ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SnapshotLabelAt);
+
+void BM_SnapshotFindElement(benchmark::State& state) {
+  SnapshotFixture& f = SnapshotFixture::Get();
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [tag, k] = f.finds[i++ % f.finds.size()];
+    auto pos = f.snap->FindElement(tag, k);
+    benchmark::DoNotOptimize(pos.ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SnapshotFindElement);
 
 void BM_PathIsolation(benchmark::State& state) {
   CompressedFixture& f = CompressedFixture::Get();

@@ -12,10 +12,11 @@
 // navigation indexes without touching the grammar, and every mutation
 // is clone-modify-swap. Two consequences worth relying on:
 //
-//   * Reads are const and non-mutating. LabelAt runs on the grammar
-//     DAG in O(depth × rank) without isolating (the old facade
+//   * Reads are const and non-mutating. LabelAt selects through the
+//     snapshot's per-rule piece tables in O(h · log|rhs|), h the
+//     grammar's rule-nesting height, without isolating (the old facade
 //     partially decompressed the path into the start rule); likewise
-//     FindElement never materializes the document.
+//     FindElement never materializes the document: O(|G| + h · max|rhs|).
 //   * Error contract, enforced by tests/api_test.cc: a mutator that
 //     returns a non-OK Status leaves the tree byte-identically
 //     unchanged — same Serialize() image, same pending damage, same

@@ -1,136 +1,42 @@
 #include "src/core/snapshot_nav.h"
 
 #include <algorithm>
-#include <utility>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/grammar/value.h"
 
 namespace slg {
 
-SnapshotNav::SnapshotNav(const Grammar* g, const RuleMeta* meta,
-                         const RuleSummary* summary)
-    : g_(g),
-      meta_(meta),
-      summary_(summary),
-      derived_size_(summary->DerivedSize()) {}
+using Piece = RuleSummary::Piece;
+
+SnapshotNav::SnapshotNav(const RuleSummary* summary) : summary_(summary) {}
 
 SnapshotNav::SnapshotNav(const Grammar* g, const RuleMeta* meta)
-    : g_(g),
-      meta_(meta),
-      owned_summary_(std::make_shared<const RuleSummary>(
+    : owned_summary_(std::make_shared<const RuleSummary>(
           RuleSummary::Build(*g, *meta))),
-      summary_(owned_summary_.get()),
-      derived_size_(summary_->DerivedSize()) {}
+      summary_(owned_summary_.get()) {}
 
 StatusOr<LabelId> SnapshotNav::LabelAt(int64_t preorder) const {
-  if (preorder < 1 || preorder > derived_size_) {
+  if (preorder < 1 || preorder > DerivedSize()) {
     return Status::OutOfRange("preorder position outside the document");
   }
-  // k counts positions remaining within the derived subtree of the
-  // current node; k == 1 at a terminal means "this is the node".
-  int64_t k = preorder;
-  std::vector<Frame> frames;
-  frames.push_back(Frame{g_->start(), kNilNode, {}, {}});
-  LabelId rule = g_->start();
-  NodeId v = meta_->RhsRoot(rule);
+  // The target is material node k (0-based) of segment `slot`. Its
+  // material offset in the rule is below the cap (every node before it
+  // precedes it in the document too), so the pieces it is compared
+  // with up to the one holding it carry exact starts.
+  int32_t slot = summary_->SegSlot(summary_->start(), 0);
+  int64_t k = preorder - 1;
   for (;;) {
-    ResolveToTerminal(
-        *meta_, rule, v,
-        [&]() -> std::pair<LabelId, NodeId> {
-          // Parameter: the derived subtree is the call's argument —
-          // resume there, in the caller's context. k is unchanged.
-          NodeId call = frames.back().call;
-          frames.pop_back();
-          return {frames.back().rule, call};
-        },
-        [&](LabelId callee) {
-          // Call: precompute the argument-size prefix sums the body's
-          // parameter ranges need.
-          const Frame& f = frames.back();
-          const Tree& t = meta_->Rhs(rule);
-          Frame nf;
-          nf.rule = callee;
-          nf.call = v;
-          nf.size_prefix.resize(static_cast<size_t>(meta_->Rank(callee)) + 1);
-          nf.size_prefix[0] = 0;
-          size_t j = 0;
-          for (NodeId c = t.first_child(v); c != kNilNode;
-               c = t.next_sibling(c)) {
-            nf.size_prefix[j + 1] =
-                SizeSatAdd(nf.size_prefix[j], DerivedIn(f, c));
-            ++j;
-          }
-          frames.push_back(std::move(nf));
-          return true;
-        });
-    // Terminal: this node holds preorder position 1 of its subtree.
-    const Frame& f = frames.back();
-    const Tree& t = meta_->Rhs(rule);
-    LabelId l = t.label(v);
-    if (k == 1) return l;
-    --k;
-    NodeId next = kNilNode;
-    for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
-      int64_t d = DerivedIn(f, c);
-      if (k <= d) {
-        next = c;
-        break;
-      }
-      k -= d;
-    }
-    SLG_CHECK_MSG(next != kNilNode, "derived-size index inconsistent");
-    v = next;
-  }
-}
-
-void SnapshotNav::BuildOccIndex(LabelId want, OccIndex* occ) const {
-  size_t num_labels = static_cast<size_t>(summary_->num_labels());
-  occ->val.assign(num_labels, -1);
-  occ->static_occ.resize(num_labels);
-  // Iterative post-order over the rule DAG: a rule is computed once
-  // every callee's count is known. Straight-line grammars are acyclic,
-  // so the worklist terminates; a rule re-pushed by several callers
-  // pops immediately once computed.
-  std::vector<LabelId> stack;
-  stack.push_back(g_->start());
-  while (!stack.empty()) {
-    LabelId r = stack.back();
-    if (occ->val[static_cast<size_t>(r)] >= 0) {
-      stack.pop_back();
-      continue;
-    }
-    const Tree& t = meta_->Rhs(r);
-    std::vector<NodeId> order = t.Preorder();
-    bool ready = true;
-    for (NodeId v : order) {
-      LabelId l = t.label(v);
-      if (meta_->IsNonterminal(l) && occ->val[static_cast<size_t>(l)] < 0) {
-        stack.push_back(l);
-        ready = false;
-      }
-    }
-    if (!ready) continue;
-    NodeId max_id = 0;
-    for (NodeId v : order) max_id = std::max(max_id, v);
-    std::vector<int64_t>& so = occ->static_occ[static_cast<size_t>(r)];
-    so.assign(static_cast<size_t>(max_id) + 1, 0);
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      NodeId v = *it;
-      LabelId l = t.label(v);
-      int64_t o = 0;
-      if (meta_->IsNonterminal(l)) {
-        o = occ->val[static_cast<size_t>(l)];
-      } else if (meta_->ParamIndex(l) == 0 && l == want) {
-        o = 1;
-      }
-      for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
-        o = SizeSatAdd(o, so[static_cast<size_t>(c)]);
-      }
-      so[static_cast<size_t>(v)] = o;
-    }
-    occ->val[static_cast<size_t>(r)] = so[static_cast<size_t>(t.root())];
-    stack.pop_back();
+    const Piece* first = summary_->SlotBegin(slot);
+    int64_t at = first->start + k;
+    const Piece* p =
+        std::upper_bound(first, summary_->SlotEnd(slot), at,
+                         [](int64_t x, const Piece& q) { return x < q.start; });
+    --p;  // the last piece starting at or before `at`
+    if (p->slot == RuleSummary::kTerminal) return p->label;
+    k = at - p->start;
+    slot = p->slot;
   }
 }
 
@@ -140,90 +46,30 @@ StatusOr<int64_t> SnapshotNav::FindLabel(LabelId want, int64_t k) const {
       static_cast<size_t>(want) >= static_cast<size_t>(summary_->num_labels())) {
     return Status::NotFound("tag never occurs");
   }
-  OccIndex occ;
-  BuildOccIndex(want, &occ);
-  if (occ.val[static_cast<size_t>(g_->start())] < k) {
+  std::vector<int64_t> count = summary_->CountPerSlot(want);
+  int32_t slot = summary_->SegSlot(summary_->start(), 0);
+  if (count[static_cast<size_t>(slot)] < k) {
     return Status::NotFound("fewer than k occurrences of tag");
   }
-  // Same descent as LabelAt, steering by occurrence counts while
-  // accumulating the preorder position from subtree sizes. pos counts
-  // the nodes strictly before the current subtree.
+  // pos: document nodes before the current segment's first node.
   int64_t pos = 0;
-  std::vector<Frame> frames;
-  frames.push_back(Frame{g_->start(), kNilNode, {}, {}});
-  LabelId rule = g_->start();
-  NodeId v = meta_->RhsRoot(rule);
   for (;;) {
-    int64_t shortcut = -1;
-    ResolveToTerminal(
-        *meta_, rule, v,
-        [&]() -> std::pair<LabelId, NodeId> {
-          NodeId call = frames.back().call;
-          frames.pop_back();
-          return {frames.back().rule, call};
-        },
-        [&](LabelId callee) {
-          const Frame& f = frames.back();
-          const Tree& t = meta_->Rhs(rule);
-          Frame nf;
-          nf.rule = callee;
-          nf.call = v;
-          size_t rank = static_cast<size_t>(meta_->Rank(callee));
-          nf.size_prefix.resize(rank + 1);
-          nf.occ_prefix.resize(rank + 1);
-          nf.size_prefix[0] = 0;
-          nf.occ_prefix[0] = 0;
-          size_t j = 0;
-          for (NodeId c = t.first_child(v); c != kNilNode;
-               c = t.next_sibling(c)) {
-            nf.size_prefix[j + 1] =
-                SizeSatAdd(nf.size_prefix[j], DerivedIn(f, c));
-            nf.occ_prefix[j + 1] =
-                SizeSatAdd(nf.occ_prefix[j], OccIn(occ, f, c));
-            ++j;
-          }
-          // O(1) finish: the target is the first occurrence inside
-          // this call and the arguments carry none, so it is the
-          // callee's first material occurrence — whose derived offset
-          // is its static offset plus the sizes of the arguments
-          // preceding it (the summary's first-occurrence table).
-          if (k == 1 && nf.occ_prefix[rank] == 0) {
-            if (std::optional<RuleSummary::FirstOcc> fo =
-                    summary_->FirstOccurrence(callee, want)) {
-              shortcut = SizeSatAdd(
-                  pos,
-                  SizeSatAdd(
-                      SizeSatAdd(fo->offset,
-                                 nf.size_prefix[static_cast<size_t>(
-                                     fo->params_before)]),
-                      1));
-              return false;
-            }
-          }
-          frames.push_back(std::move(nf));
-          return true;
-        });
-    if (shortcut >= 0) return shortcut;
-    const Frame& f = frames.back();
-    const Tree& t = meta_->Rhs(rule);
-    LabelId l = t.label(v);
-    if (l == want) {
-      if (k == 1) return pos + 1;
-      --k;
+    const Piece* first = summary_->SlotBegin(slot);
+    const Piece* last = summary_->SlotEnd(slot);
+    const Piece* p = first;
+    for (;; ++p) {
+      SLG_CHECK_MSG(p != last, "occurrence counts inconsistent");
+      int64_t c = p->slot == RuleSummary::kTerminal
+                      ? (p->label == want ? 1 : 0)
+                      : count[static_cast<size_t>(p->slot)];
+      if (k <= c) break;
+      k -= c;
     }
-    pos = SizeSatAdd(pos, 1);
-    NodeId next = kNilNode;
-    for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
-      int64_t oc = OccIn(occ, f, c);
-      if (k <= oc) {
-        next = c;
-        break;
-      }
-      k -= oc;
-      pos = SizeSatAdd(pos, DerivedIn(f, c));
-    }
-    SLG_CHECK_MSG(next != kNilNode, "occurrence index inconsistent");
-    v = next;
+    // A saturated start means the piece begins beyond the cap.
+    pos = p->start >= kSizeCap ? kSizeCap
+                               : SizeSatAdd(pos, p->start - first->start);
+    if (p->slot == RuleSummary::kTerminal) return SizeSatAdd(pos, 1);
+    slot = p->slot;
   }
 }
 

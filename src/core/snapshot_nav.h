@@ -6,44 +6,40 @@
 // into the start rule — it *damages* the grammar, which is fine on the
 // write path (the damage feeds the next recompression) but unusable
 // for serving reads from a shared immutable snapshot. SnapshotNav is
-// the read-only counterpart: instead of inlining calls it descends
-// *into* rule bodies, carrying a stack of call frames whose argument
-// sizes tell it which child subtree covers the requested position.
+// the read-only counterpart: it selects through the material piece
+// tables of the shared RuleSummary layer (grammar/rule_summary.h),
+// built once per snapshot and shared with the cursor and the query
+// engine.
 //
-// The per-rule facts the descent needs — static sizes, parameter
-// intervals, first-occurrence offsets — come from the shared
-// RuleSummary layer (grammar/rule_summary.h), built once per snapshot
-// and shared with the cursor and the query engine; with per-call
-// prefix sums over the actual argument sizes, the derived size of any
-// body node in context is O(1):
-//   derived(v | args) = static_size[v] + sum(args[lo..hi]).
-//
-// LabelAt descends root-to-target in O(depth · rank); FindLabel
-// additionally computes per-rule occurrence counts of the wanted label
-// (one O(|G|) pass per query) and then descends the same way — both
-// sub-linear in the document, neither touching the grammar. When the
-// remaining target is the first occurrence inside a call whose
-// arguments carry none, the summary's first-occurrence offset finishes
-// the descent in O(1) instead of walking the rest of the spine.
+// Both queries descend one *rule* per step, never one node: the target
+// always lies in one segment of the current rule's material, and the
+// piece of that segment holding it is either a terminal (the answer)
+// or a segment of a callee, which becomes the next step. With h the
+// rule-nesting height of the grammar:
+//   * LabelAt binary-searches each segment's pieces by material start
+//     — O(h · log|rhs|);
+//   * FindLabel first counts the wanted label per segment in one
+//     callee-first pass over the piece table, then scans each
+//     segment's pieces by count — O(|G| + h · max|rhs|).
+// Neither touches the grammar or allocates beyond FindLabel's count
+// table.
 //
 // All sizes saturate at kSizeCap (value.h); positions beyond the cap
 // are not addressable, matching every other size computation in the
 // library.
 //
-// A SnapshotNav borrows the grammar, a with-sizes RuleMeta and a
-// RuleSummary built from them, and must be discarded after any
-// mutation — GrammarSnapshot (service/) bundles all of them with
-// shared ownership. The two-argument constructor builds (and owns) the
-// summary itself, for standalone use. Queries are const and touch no
-// mutable state, so any number of threads may query one instance
-// concurrently.
+// A SnapshotNav borrows a RuleSummary and must be discarded after any
+// mutation of the grammar it was built from — GrammarSnapshot
+// (service/) bundles both with shared ownership. The two-argument
+// constructor builds (and owns) the summary itself, for standalone
+// use. Queries are const and touch no mutable state, so any number of
+// threads may query one instance concurrently.
 
 #ifndef SLG_CORE_SNAPSHOT_NAV_H_
 #define SLG_CORE_SNAPSHOT_NAV_H_
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/grammar/grammar.h"
@@ -54,13 +50,11 @@ namespace slg {
 
 class SnapshotNav {
  public:
-  // Borrows g, meta and summary (with-sizes snapshots of *g) for its
-  // lifetime; does no per-construction work of its own.
-  SnapshotNav(const Grammar* g, const RuleMeta* meta,
-              const RuleSummary* summary);
+  // Borrows summary for its lifetime; does no work of its own.
+  explicit SnapshotNav(const RuleSummary* summary);
 
-  // Convenience: builds and owns the RuleSummary (one bottom-up pass
-  // per rule body).
+  // Convenience: builds and owns the RuleSummary of g (meta must be a
+  // with-sizes snapshot of g).
   SnapshotNav(const Grammar* g, const RuleMeta* meta);
 
   SnapshotNav(SnapshotNav&&) = default;
@@ -68,7 +62,7 @@ class SnapshotNav {
 
   // Number of nodes of val(S) (the ⊥-inclusive binary preorder
   // space), saturating at kSizeCap.
-  int64_t DerivedSize() const { return derived_size_; }
+  int64_t DerivedSize() const { return summary_->DerivedSize(); }
 
   // Label at the 1-based binary preorder position of val(S).
   // OutOfRange outside [1, DerivedSize()].
@@ -80,43 +74,8 @@ class SnapshotNav {
   StatusOr<int64_t> FindLabel(LabelId want, int64_t k) const;
 
  private:
-  // A call frame of the descent: the rule we are inside, the call node
-  // in the *enclosing* rule's body that got us here, and prefix sums
-  // over this rule's argument sizes (prefix[j] = derived sizes of
-  // arguments 1..j summed; prefix[0] = 0). FindLabel carries a second
-  // prefix over argument occurrence counts.
-  struct Frame {
-    LabelId rule;
-    NodeId call;
-    std::vector<int64_t> size_prefix;
-    std::vector<int64_t> occ_prefix;
-  };
-
-  // derived(v | frame's arguments) for a body node of frame.rule.
-  int64_t DerivedIn(const Frame& f, NodeId v) const {
-    return summary_->DerivedIn(f.rule, v, f.size_prefix);
-  }
-
-  // Per-rule occurrence counts of `want` (occ[l] = occurrences in
-  // val(l), parameters contributing nothing) plus per-node static
-  // occurrence counts, computed by an iterative pass over the
-  // reachable rule DAG. Purely local to one query — SnapshotNav keeps
-  // no mutable state, so concurrent queries stay race-free.
-  struct OccIndex {
-    std::vector<int64_t> val;                       // by LabelId; -1 unset
-    std::vector<std::vector<int64_t>> static_occ;   // by LabelId, by NodeId
-  };
-  void BuildOccIndex(LabelId want, OccIndex* occ) const;
-  int64_t OccIn(const OccIndex& occ, const Frame& f, NodeId v) const {
-    return summary_->InContext(
-        f.rule, v, occ.static_occ[static_cast<size_t>(f.rule)], f.occ_prefix);
-  }
-
-  const Grammar* g_;
-  const RuleMeta* meta_;
   std::shared_ptr<const RuleSummary> owned_summary_;  // two-arg ctor only
   const RuleSummary* summary_;
-  int64_t derived_size_ = 0;
 };
 
 }  // namespace slg

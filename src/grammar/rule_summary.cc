@@ -1,28 +1,10 @@
 #include "src/grammar/rule_summary.h"
 
 #include <algorithm>
-#include <functional>
-#include <numeric>
-#include <unordered_set>
 
 #include "src/grammar/orders.h"
 
 namespace slg {
-
-namespace {
-
-// First-occurrence tables are only built for rules whose bodies stay
-// below this node count — every digram-sized rule TreeRePair mints
-// qualifies, while the start rule (whose table no descent ever
-// consults: descents begin there) and adversarial hand-written bodies
-// fall back to the plain descent. Bounds both the build recursion
-// depth and the walk cost.
-constexpr size_t kFirstOccBodyCap = 4096;
-// Total first-occurrence entries across all rules; beyond this the
-// remaining rules simply go without tables.
-constexpr int64_t kFirstOccTotalCap = int64_t{1} << 21;
-
-}  // namespace
 
 std::vector<int64_t> ComputeStaticSizes(const Tree& t, const RuleMeta& meta) {
   std::vector<NodeId> order = t.Preorder();
@@ -46,21 +28,35 @@ std::vector<int64_t> ComputeStaticSizes(const Tree& t, const RuleMeta& meta) {
 RuleSummary RuleSummary::Build(const Grammar& g, const RuleMeta& meta) {
   RuleSummary s;
   s.rules_.resize(static_cast<size_t>(meta.num_labels()));
+  s.start_ = g.start();
 
   // Pass 1, per rule body: static sizes (the shared helper) and
-  // parameter intervals, one bottom-up sweep each.
+  // parameter intervals, one bottom-up sweep each; also sizes the
+  // piece and slot tables so that pass 2 fills them without growing.
+  size_t num_pieces = 0;
+  size_t num_slots = 0;
   g.ForEachRule([&](LabelId lhs, const Tree& t) {
     Body& b = s.rules_[static_cast<size_t>(lhs)];
     b.static_size = ComputeStaticSizes(t, meta);
     size_t n = b.static_size.size();
     b.param_lo.assign(n, kNoParamBelow);
     b.param_hi.assign(n, 0);
+    num_slots += static_cast<size_t>(meta.Rank(lhs)) + 1;
     std::vector<NodeId> order = t.Preorder();
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       NodeId v = *it;
+      LabelId l = t.label(v);
       int32_t lo = kNoParamBelow;
       int32_t hi = 0;
-      if (int pj = meta.ParamIndex(t.label(v)); pj > 0) lo = hi = pj;
+      if (int pj = meta.ParamIndex(l); pj > 0) {
+        lo = hi = pj;
+      } else if (meta.IsNonterminal(l)) {
+        for (int j = 0; j <= meta.Rank(l); ++j) {
+          if (meta.SegSize(l, j) > 0) ++num_pieces;
+        }
+      } else {
+        ++num_pieces;
+      }
       for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
         size_t ci = static_cast<size_t>(c);
         lo = std::min(lo, b.param_lo[ci]);
@@ -71,178 +67,101 @@ RuleSummary RuleSummary::Build(const Grammar& g, const RuleMeta& meta) {
     }
   });
 
-  // Pass 2, callees before callers: label filters, element totals,
-  // first-occurrence tables (each needs the callee's version).
-  std::vector<std::vector<int32_t>> fo_order(s.rules_.size());
-  int64_t fo_total = 0;
+  // Pass 2, callees before callers: label filters, element totals and
+  // piece tables (each needs the callee's version), from one walk of
+  // each body in derived order. A step either visits a node or, at a
+  // call, emits one of the callee's segments; a call emits segment 0,
+  // then argument i followed by segment i for i = 1..m.
+  SLG_CHECK(num_pieces < std::numeric_limits<uint32_t>::max());
+  s.pieces_.reserve(num_pieces);
+  s.slot_first_.resize(num_slots + 1);
+  struct Step {
+    NodeId v;
+    int32_t seg;  // < 0: visit v; else emit this segment of v's callee
+  };
+  std::vector<Step> stack;
+  int32_t next_slot = 0;
   for (LabelId r : AntiSlOrder(g)) {
     Body& b = s.rules_[static_cast<size_t>(r)];
     const Tree& t = meta.Rhs(r);
     b.material_size = b.static_size[static_cast<size_t>(meta.RhsRoot(r))];
+    b.first_slot = next_slot;
+    next_slot += meta.Rank(r) + 1;
+    s.slot_first_[static_cast<size_t>(b.first_slot)] =
+        static_cast<uint32_t>(s.pieces_.size());
+    int64_t at = 0;  // material nodes emitted so far
     int64_t elems = 0;
-    for (NodeId v : t.Preorder()) {
-      LabelId l = t.label(v);
-      if (meta.IsNonterminal(l)) {
+    auto push_children = [&](NodeId v, bool with_segments) {
+      size_t mark = stack.size();
+      int32_t i = 1;
+      for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
+        stack.push_back(Step{c, -1});
+        if (with_segments) stack.push_back(Step{v, i++});
+      }
+      std::reverse(stack.begin() + static_cast<std::ptrdiff_t>(mark),
+                   stack.end());
+    };
+    auto emit_segment = [&](LabelId callee, int j) {
+      int64_t size = meta.SegSize(callee, j);
+      if (size == 0) return;
+      s.pieces_.push_back(Piece{at, callee, s.SegSlot(callee, j)});
+      at = SizeSatAdd(at, size);
+    };
+    stack.push_back(Step{meta.RhsRoot(r), -1});
+    while (!stack.empty()) {
+      Step step = stack.back();
+      stack.pop_back();
+      LabelId l = t.label(step.v);
+      if (step.seg >= 0) {
+        emit_segment(l, step.seg);
+      } else if (int pj = meta.ParamIndex(l); pj > 0) {
+        s.slot_first_[static_cast<size_t>(b.first_slot + pj)] =
+            static_cast<uint32_t>(s.pieces_.size());
+      } else if (meta.IsNonterminal(l)) {
         const Body& cb = s.rules_[static_cast<size_t>(l)];
-        for (int i = 0; i < 4; ++i) b.filter[static_cast<size_t>(i)] |= cb.filter[static_cast<size_t>(i)];
+        for (size_t i = 0; i < 4; ++i) b.filter[i] |= cb.filter[i];
         elems = SizeSatAdd(elems, cb.material_elements);
-      } else if (meta.ParamIndex(l) == 0) {
+        emit_segment(l, 0);
+        push_children(step.v, /*with_segments=*/true);
+      } else {
         uint32_t h = FilterHash(l);
         b.filter[h >> 6] |= uint64_t{1} << (h & 63);
         if (l != kNullLabel) elems = SizeSatAdd(elems, 1);
+        s.pieces_.push_back(Piece{at, l, kTerminal});
+        at = SizeSatAdd(at, 1);
+        push_children(step.v, /*with_segments=*/false);
       }
     }
     b.material_elements = elems;
-    BuildFirstOcc(r, t, meta, s.rules_, fo_order, &fo_total);
   }
+  SLG_CHECK(s.pieces_.size() == num_pieces &&
+            static_cast<size_t>(next_slot) == num_slots);
+  s.slot_first_[num_slots] = static_cast<uint32_t>(num_pieces);
 
-  LabelId start = g.start();
-  const Body& sb = s.rules_[static_cast<size_t>(start)];
-  s.derived_size_ = sb.static_size[static_cast<size_t>(meta.RhsRoot(start))];
+  const Body& sb = s.rules_[static_cast<size_t>(s.start_)];
+  s.derived_size_ = sb.static_size[static_cast<size_t>(meta.RhsRoot(s.start_))];
   s.derived_elements_ = sb.material_elements;
   return s;
 }
 
-void RuleSummary::BuildFirstOcc(LabelId r, const Tree& t, const RuleMeta& meta,
-                                std::vector<Body>& rules,
-                                std::vector<std::vector<int32_t>>& fo_order,
-                                int64_t* fo_total) {
-  Body& b = rules[static_cast<size_t>(r)];
-  std::vector<NodeId> order = t.Preorder();
-  if (order.size() > kFirstOccBodyCap) return;
-  if (*fo_total >= kFirstOccTotalCap) return;
-  // Merging a callee's table requires it to be exact — a missing
-  // callee table could hide an earlier occurrence.
-  for (NodeId v : order) {
-    LabelId l = t.label(v);
-    if (meta.IsNonterminal(l) && !rules[static_cast<size_t>(l)].fo_exact) {
-      return;
-    }
-  }
-
-  // Walk the body in *derived* order, tracking for every node its
-  // static offset (material nodes before it, arguments of nested calls
-  // included — they are this rule's material — but this rule's own
-  // parameter substitutions excluded) and the count of this rule's
-  // parameters already passed. First record per label wins, which is
-  // exactly the first derived occurrence because the walk order is the
-  // derived order.
-  struct Rec {
-    LabelId label;
-    int64_t offset;
-    int32_t params_before;
-  };
-  std::vector<Rec> recs;
-  std::unordered_set<LabelId> seen;
-  int32_t params_passed = 0;
-  bool overflow = false;
-  auto record = [&](LabelId l, int64_t off, int32_t p) {
-    if (off >= kSizeCap) {
-      overflow = true;
-      return;
-    }
-    if (seen.insert(l).second) recs.push_back(Rec{l, off, p});
-  };
-  // Recursion depth is bounded by the body node count (≤ cap above).
-  std::function<void(NodeId, int64_t)> visit = [&](NodeId v, int64_t base) {
-    if (base >= kSizeCap) {
-      overflow = true;
-      return;
-    }
-    LabelId l = t.label(v);
-    if (meta.ParamIndex(l) > 0) {
-      ++params_passed;
-      return;
-    }
-    if (meta.IsNonterminal(l)) {
-      // The callee's material and this call's argument subtrees
-      // interleave in derived order: segment h of the callee (its
-      // entries with params_before == h), then argument h+1, and so
-      // on. A callee entry at static offset d with p of the callee's
-      // parameters before it sits at base + d + (sizes of the first p
-      // arguments); argument h+1 starts after the callee's first h+1
-      // segments and the first h arguments.
-      const Body& cb = rules[static_cast<size_t>(l)];
-      const std::vector<int32_t>& corder = fo_order[static_cast<size_t>(l)];
-      int m = meta.Rank(l);
-      std::vector<NodeId> args;
-      std::vector<int64_t> asp(static_cast<size_t>(m) + 1, 0);
-      args.reserve(static_cast<size_t>(m));
-      size_t j = 0;
-      for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
-        args.push_back(c);
-        asp[j + 1] =
-            SizeSatAdd(asp[j], b.static_size[static_cast<size_t>(c)]);
-        ++j;
+std::vector<int64_t> RuleSummary::CountPerSlot(LabelId want) const {
+  // Slots are laid out callees first, so every call piece's count is
+  // final before its caller's slot is summed.
+  size_t n = slot_first_.size() - 1;
+  std::vector<int64_t> count(n, 0);
+  for (size_t slot = 0; slot < n; ++slot) {
+    int64_t c = 0;
+    for (uint32_t i = slot_first_[slot]; i < slot_first_[slot + 1]; ++i) {
+      const Piece& p = pieces_[i];
+      if (p.slot == kTerminal) {
+        if (p.label == want) c = SizeSatAdd(c, 1);
+      } else {
+        c = SizeSatAdd(c, count[static_cast<size_t>(p.slot)]);
       }
-      size_t oi = 0;
-      int64_t seg = 0;
-      for (int h = 0; h <= m; ++h) {
-        while (oi < corder.size() &&
-               cb.fo_params[static_cast<size_t>(corder[oi])] == h) {
-          int32_t e = corder[oi++];
-          record(cb.fo_labels[static_cast<size_t>(e)],
-                 SizeSatAdd(base,
-                            SizeSatAdd(cb.fo_offsets[static_cast<size_t>(e)],
-                                       asp[static_cast<size_t>(h)])),
-                 params_passed);
-        }
-        if (h < m) {
-          seg = SizeSatAdd(seg, meta.SegSize(l, h));
-          visit(args[static_cast<size_t>(h)],
-                SizeSatAdd(base, SizeSatAdd(seg, asp[static_cast<size_t>(h)])));
-        }
-      }
-      return;
     }
-    // Terminal: itself, then its children in order.
-    record(l, base, params_passed);
-    int64_t off = SizeSatAdd(base, 1);
-    for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
-      visit(c, off);
-      off = SizeSatAdd(off, b.static_size[static_cast<size_t>(c)]);
-    }
-  };
-  visit(meta.RhsRoot(r), 0);
-  if (overflow) return;
-
-  // Store sorted by label (lookup is a binary search); fo_order keeps
-  // the derived order — (params_before, offset) ascending, which the
-  // walk produced directly — as indices into the sorted table.
-  size_t n = recs.size();
-  std::vector<int32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
-  std::sort(perm.begin(), perm.end(), [&](int32_t a, int32_t c) {
-    return recs[static_cast<size_t>(a)].label <
-           recs[static_cast<size_t>(c)].label;
-  });
-  b.fo_labels.resize(n);
-  b.fo_offsets.resize(n);
-  b.fo_params.resize(n);
-  std::vector<int32_t>& ord = fo_order[static_cast<size_t>(r)];
-  ord.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Rec& rec = recs[static_cast<size_t>(perm[i])];
-    b.fo_labels[i] = rec.label;
-    b.fo_offsets[i] = rec.offset;
-    b.fo_params[i] = rec.params_before;
-    ord[static_cast<size_t>(perm[i])] = static_cast<int32_t>(i);
+    count[slot] = c;
   }
-  b.fo_exact = true;
-  *fo_total += static_cast<int64_t>(n);
-}
-
-std::optional<RuleSummary::FirstOcc> RuleSummary::FirstOccurrence(
-    LabelId rule, LabelId label) const {
-  if (rule < 0 || static_cast<size_t>(rule) >= rules_.size()) {
-    return std::nullopt;
-  }
-  const Body& b = rules_[static_cast<size_t>(rule)];
-  if (!b.fo_exact) return std::nullopt;
-  auto it = std::lower_bound(b.fo_labels.begin(), b.fo_labels.end(), label);
-  if (it == b.fo_labels.end() || *it != label) return std::nullopt;
-  size_t i = static_cast<size_t>(it - b.fo_labels.begin());
-  return FirstOcc{b.fo_offsets[i], b.fo_params[i]};
+  return count;
 }
 
 }  // namespace slg

@@ -27,17 +27,26 @@
 //     negatives never) — the query engine's pruning index,
 //   * the element (non-⊥) count of the rule's material, giving
 //     document element counts without ValueElementCount's extra pass,
-//   * exact first-occurrence offsets: for each label occurring in the
-//     material of val(rule), the number of material nodes before its
-//     first occurrence in derived order plus the count of the rule's
-//     parameters preceding it — enough to compute the absolute derived
-//     position of that occurrence at any call site in O(1) from the
-//     argument-size prefix (built only for rules whose bodies are
-//     small, which is every rule TreeRePair mints; consumers fall back
-//     to the plain descent when absent).
+//   * the rule's material piece table. "Material" is every node of
+//     val(rule) that does not come from a parameter; in derived
+//     preorder it is a sequence of pieces: each terminal of rhs(rule)
+//     is one piece of size 1, and each call to B of rank m is the m+1
+//     pieces of B's segments (size(B,0..m), RuleMeta::SegSize), with
+//     the call's arguments interleaved between them. A piece records
+//     its material start in val(rule), its label (the terminal, or the
+//     callee B) and, for a call piece, the slot of the callee segment
+//     it is. Empty segments get no piece.
 //
-// All sizes saturate at kSizeCap (value.h); a first-occurrence table
-// that would saturate is dropped rather than stored approximately.
+// Segment slots number every (rule, segment) pair of the grammar;
+// callees' slots precede their callers' and a rule's slots are
+// consecutive. Segment j of a rule is the material between its
+// parameters y_j and y_j+1, so its pieces are a contiguous run of the
+// rule's table: [SlotBegin(s), SlotEnd(s)) for s = SegSlot(rule, j).
+// Selecting a derived position is then one binary search per rule on
+// the way down (the random-access scheme for grammar-compressed
+// strings of Bille et al., SODA 2011, applied to the segments of a
+// tree grammar), and counting a label per segment is one linear pass
+// over the flat table (CountPerSlot).
 //
 // A RuleSummary is a snapshot: it borrows nothing but is only valid
 // for the grammar/meta it was built from and must be discarded after
@@ -50,7 +59,6 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -73,15 +81,13 @@ class RuleSummary {
   // index compares smaller.
   static constexpr int32_t kNoParamBelow = std::numeric_limits<int32_t>::max();
 
-  // First occurrence of a label in a rule's material: `offset`
-  // material nodes precede it in derived order, `params_before` of the
-  // rule's parameters precede it. Its absolute offset inside any
-  // instantiation is offset + sum of the first params_before argument
-  // sizes.
-  struct FirstOcc {
-    int64_t offset = 0;
-    int32_t params_before = 0;
+  // One material piece (see the header comment).
+  struct Piece {
+    int64_t start;  // material nodes of val(rule) before it, saturating
+    LabelId label;  // the terminal, or the callee
+    int32_t slot;   // the callee segment's slot; kTerminal for a terminal
   };
+  static constexpr int32_t kTerminal = -1;
 
   // One bottom-up pass per rule body plus one anti-SL pass over the
   // rule DAG. `meta` must be a with-sizes snapshot of g.
@@ -91,6 +97,7 @@ class RuleSummary {
   RuleSummary& operator=(RuleSummary&&) = default;
 
   int num_labels() const { return static_cast<int>(rules_.size()); }
+  LabelId start() const { return start_; }
 
   // Nodes of val(S) (the ⊥-inclusive binary preorder space) / its
   // non-⊥ element count, both saturating at kSizeCap.
@@ -145,10 +152,19 @@ class RuleSummary {
     return (b.filter[h >> 6] >> (h & 63)) & 1;
   }
 
-  // First occurrence of `label` in the material of val(rule), or
-  // nullopt when the rule's first-occurrence table was not built (big
-  // body, saturated sizes, capped) — never a wrong answer.
-  std::optional<FirstOcc> FirstOccurrence(LabelId rule, LabelId label) const;
+  // Slot of segment j (0..Rank(rule)) of rule.
+  int32_t SegSlot(LabelId rule, int j) const {
+    return rules_[static_cast<size_t>(rule)].first_slot + j;
+  }
+  // The pieces of a segment slot, in derived order.
+  const Piece* SlotBegin(int32_t slot) const {
+    return pieces_.data() + slot_first_[static_cast<size_t>(slot)];
+  }
+  const Piece* SlotEnd(int32_t slot) const { return SlotBegin(slot + 1); }
+
+  // Occurrences of `want` in the material of every segment, by slot
+  // (saturating): one callee-first pass over the piece table.
+  std::vector<int64_t> CountPerSlot(LabelId want) const;
 
   // Parameter interval under a body node (lo > hi means none below) —
   // exposed for consumers that roll their own prefix combination.
@@ -169,13 +185,7 @@ class RuleSummary {
     std::array<uint64_t, 4> filter = {0, 0, 0, 0};
     int64_t material_size = 0;
     int64_t material_elements = 0;
-    // First-occurrence table, parallel vectors sorted by label;
-    // fo_exact marks it as built (absent tables are a fallback, not an
-    // error).
-    bool fo_exact = false;
-    std::vector<LabelId> fo_labels;
-    std::vector<int64_t> fo_offsets;
-    std::vector<int32_t> fo_params;
+    int32_t first_slot = 0;  // SegSlot(rule, 0)
   };
 
   RuleSummary() = default;
@@ -184,24 +194,22 @@ class RuleSummary {
     return (static_cast<uint32_t>(l) * 2654435761u) >> 24;
   }
 
-  // Builds rule r's first-occurrence table (respecting the body-size
-  // and total-entry caps); fo_order[r] receives the table indices in
-  // derived order, which callers' walks consume.
-  static void BuildFirstOcc(LabelId r, const Tree& t, const RuleMeta& meta,
-                            std::vector<Body>& rules,
-                            std::vector<std::vector<int32_t>>& fo_order,
-                            int64_t* fo_total);
-
   std::vector<Body> rules_;  // by LabelId; empty for non-rules
+  // Flat piece table of every rule, rules in callee-first order, and
+  // the index of each slot's first piece (plus one end sentinel). Both
+  // are allocated once, at their exact size.
+  std::vector<Piece> pieces_;
+  std::vector<uint32_t> slot_first_;
+  LabelId start_ = kNoLabel;
   int64_t derived_size_ = 0;
   int64_t derived_elements_ = 0;
 };
 
-// Shared boundary-resolution core of every root-to-position descent
-// (GrammarCursor::ResolveDown, SnapshotNav's walks, the query
-// engine's first-match descent). Advances (rule, node) — which may
-// sit on a parameter or a call — across derivation boundaries until
-// node is a terminal of rule's body:
+// Shared boundary-resolution core of the node-by-node descents
+// (GrammarCursor::ResolveDown, the query engine's first-match
+// descent). Advances (rule, node) — which may sit on a parameter or a
+// call — across derivation boundaries until node is a terminal of
+// rule's body:
 //   * parameter y_j: pop() must remove the innermost frame and return
 //     the enclosing (rule, call-node) pair; the descent resumes at the
 //     call's j-th argument, in the caller's context;

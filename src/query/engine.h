@@ -36,9 +36,13 @@
 //     zero matches — also answered without a memo entry.
 //
 // first(p)/nth(p, k) reuse the memoized per-node match counts to
-// steer a root-to-match descent (the same frame walk as
-// SnapshotNav::FindLabel, via the shared ResolveToTerminal), so the
-// position comes out in O(depth · rank) after evaluation.
+// steer a root-to-match descent node by node (the frame walk
+// GrammarCursor also uses, via the shared ResolveToTerminal), so the
+// position comes out in O(d · rank) after evaluation, d being the
+// match's depth in the binary encoding — which a long sibling chain
+// makes linear in the document. (SnapshotNav::FindLabel selects one
+// rule per step instead; match counts depend on the per-node context,
+// so the engine cannot use its per-segment tables.)
 //
 // Status contract (matching the other read surfaces): malformed query
 // text or an over-complex plan → InvalidArgument; nth with k < 1 →

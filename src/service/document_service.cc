@@ -395,8 +395,8 @@ void DocumentService::MergeOnce(std::unique_lock<std::mutex>& lk) {
   }
 
   // Snapshot construction builds every read index — the with-sizes
-  // RuleMeta and the shared RuleSummary (label filters,
-  // first-occurrence tables) — so it runs here, off the lock; only the
+  // RuleMeta and the shared RuleSummary (label filters, piece
+  // tables) — so it runs here, off the lock; only the
   // splice below needs mu_.
   std::shared_ptr<const GrammarSnapshot> base_snap =
       GrammarSnapshot::Make(std::move(merged), v);

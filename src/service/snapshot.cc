@@ -18,7 +18,7 @@ GrammarSnapshot::GrammarSnapshot(Grammar g, int64_t version)
           RuleMeta::Build(g_, /*with_sizes=*/true))),
       summary_(std::make_shared<const RuleSummary>(
           RuleSummary::Build(g_, *meta_))),
-      nav_(&g_, meta_.get(), summary_.get()),
+      nav_(summary_.get()),
       version_(version),
       edges_(ComputeStats(g_).edge_count),
       element_count_(summary_->DerivedElementCount()) {}

@@ -100,7 +100,7 @@ class GrammarSnapshot {
   Grammar g_;
   std::shared_ptr<const RuleMeta> meta_;  // with_sizes, built over g_
   std::shared_ptr<const RuleSummary> summary_;  // built over g_ and *meta_
-  SnapshotNav nav_;  // borrows g_, *meta_ and *summary_
+  SnapshotNav nav_;  // borrows *summary_
   int64_t version_ = 0;
   int64_t edges_ = 0;
   int64_t element_count_ = 0;

@@ -1,8 +1,8 @@
 // RuleSummary: the shared per-rule summary layer must report exact
 // sizes and element counts, parameter intervals matching the rule
-// bodies, a label filter with no false negatives, and
-// first-occurrence offsets that point at the true first derived
-// occurrence.
+// bodies, a label filter with no false negatives, and material piece
+// tables that tile every segment and place the document's terminals
+// at their true derived positions.
 
 #include "src/grammar/rule_summary.h"
 
@@ -10,7 +10,6 @@
 
 #include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -89,24 +88,53 @@ void CheckSummary(const Grammar& g) {
     }
   }
 
-  // First occurrences at the start rule (rank 0: the absolute derived
-  // offset is the stored offset) against the materialized preorder.
-  Tree full = Value(g).take();
-  std::map<LabelId, int64_t> first;
-  int64_t p = 0;
-  full.VisitPreorder(full.root(), [&](NodeId v) {
-    ++p;
-    first.emplace(full.label(v), p);
+  // Piece tables: each segment's pieces start where the previous one
+  // ended, a call piece spans its callee segment, and the segments add
+  // up to the rule's segment sizes and material size.
+  g.ForEachRule([&](LabelId lhs, const Tree&) {
+    int64_t at = 0;
+    for (int j = 0; j <= meta.Rank(lhs); ++j) {
+      int32_t slot = sum.SegSlot(lhs, j);
+      int64_t seg_start = at;
+      for (const RuleSummary::Piece* p = sum.SlotBegin(slot);
+           p != sum.SlotEnd(slot); ++p) {
+        EXPECT_EQ(p->start, at) << "rule " << lhs << " segment " << j;
+        int64_t size = 1;
+        if (p->slot != RuleSummary::kTerminal) {
+          int callee_seg = p->slot - sum.SegSlot(p->label, 0);
+          ASSERT_GE(callee_seg, 0);
+          ASSERT_LE(callee_seg, meta.Rank(p->label));
+          size = meta.SegSize(p->label, callee_seg);
+          EXPECT_GT(size, 0);  // empty segments get no piece
+        }
+        at = SizeSatAdd(at, size);
+      }
+      EXPECT_EQ(at - seg_start, meta.SegSize(lhs, j));
+    }
+    EXPECT_EQ(at, sum.MaterialSize(lhs));
   });
-  for (const auto& [label, pos] : first) {
-    std::optional<RuleSummary::FirstOcc> fo =
-        sum.FirstOccurrence(g.start(), label);
-    if (!fo.has_value()) continue;  // capped tables are a legal fallback
-    EXPECT_EQ(fo->offset + 1, pos) << g.labels().Name(label);
-    EXPECT_EQ(fo->params_before, 0);
+
+  // The start rule's terminal pieces sit at their materialized
+  // positions, and per-slot counts match the materialized tree.
+  Tree full = Value(g).take();
+  std::vector<LabelId> pre;
+  std::map<LabelId, int64_t> occurrences;
+  full.VisitPreorder(full.root(), [&](NodeId v) {
+    pre.push_back(full.label(v));
+    ++occurrences[full.label(v)];
+  });
+  int32_t start_slot = sum.SegSlot(g.start(), 0);
+  for (const RuleSummary::Piece* p = sum.SlotBegin(start_slot);
+       p != sum.SlotEnd(start_slot); ++p) {
+    if (p->slot != RuleSummary::kTerminal) continue;
+    ASSERT_LT(p->start, static_cast<int64_t>(pre.size()));
+    EXPECT_EQ(p->label, pre[static_cast<size_t>(p->start)]);
   }
-  // A label the document never contains has no first occurrence.
-  EXPECT_FALSE(sum.FirstOccurrence(g.start(), kNoLabel).has_value());
+  for (const auto& [label, n] : occurrences) {
+    EXPECT_EQ(sum.CountPerSlot(label)[static_cast<size_t>(start_slot)], n)
+        << g.labels().Name(label);
+  }
+  EXPECT_EQ(sum.CountPerSlot(kNoLabel)[static_cast<size_t>(start_slot)], 0);
 }
 
 class RuleSummaryCorpusTest : public ::testing::TestWithParam<Corpus> {};
@@ -154,6 +182,8 @@ TEST(RuleSummaryTest, ParameterIntervals) {
   EXPECT_EQ(sum.ParamHi(a, y1), 1);
   EXPECT_EQ(sum.ParamLo(a, h), 2);
   EXPECT_EQ(sum.ParamHi(a, h), 2);
+  EXPECT_EQ(sum.ParamLo(a, y2), 2);
+  EXPECT_EQ(sum.ParamHi(a, y2), 2);
   EXPECT_GT(sum.ParamLo(a, c), sum.ParamHi(a, c));  // none below
 
   // DerivedIn with explicit argument sizes: val(A(x,y)) has 3 material
@@ -161,6 +191,66 @@ TEST(RuleSummaryTest, ParameterIntervals) {
   std::vector<int64_t> prefix = {0, 5, 5 + 3};  // |arg1| = 5, |arg2| = 3
   EXPECT_EQ(sum.DerivedIn(a, root, prefix), 3 + 5 + 3);
   EXPECT_EQ(sum.DerivedIn(a, h, prefix), 2 + 3);
+}
+
+TEST(RuleSummaryTest, SaturatedPieceStarts) {
+  // Three calls whose segments each hold 2^80 - 1 nodes: past the cap
+  // every piece start reads kSizeCap, so starts stay ascending (the
+  // binary search's precondition) instead of overflowing.
+  std::vector<std::string> rules = {"S -> f(A1,f(A1,f(A1,a)))"};
+  for (int i = 1; i < 80; ++i) {
+    rules.push_back("A" + std::to_string(i) + " -> f(A" +
+                    std::to_string(i + 1) + ",A" + std::to_string(i + 1) + ")");
+  }
+  rules.push_back("A80 -> a");
+  Grammar g = GrammarFromRules(rules).take();
+  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
+  RuleSummary sum = RuleSummary::Build(g, meta);
+  std::vector<int64_t> starts;
+  int32_t slot = sum.SegSlot(g.start(), 0);
+  for (const RuleSummary::Piece* p = sum.SlotBegin(slot);
+       p != sum.SlotEnd(slot); ++p) {
+    starts.push_back(p->start);
+  }
+  EXPECT_EQ(starts, (std::vector<int64_t>{0, 1, kSizeCap, kSizeCap, kSizeCap,
+                                          kSizeCap, kSizeCap}));
+}
+
+TEST(RuleSummaryTest, PieceTable) {
+  // S -> f(A(a,b),A(b,a)), A -> g($1,h($2,c)). val(A) in preorder is
+  // g $1 h $2 c: segment 0 = [g], 1 = [h], 2 = [c]. S's walk
+  // interleaves A's segments with the call arguments.
+  Grammar g = ParameterizedSiblingGrammar();
+  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
+  RuleSummary sum = RuleSummary::Build(g, meta);
+  LabelId a = g.labels().Find("A");
+  auto pieces = [&](LabelId rule, int j) {
+    std::vector<std::string> out;
+    int32_t slot = sum.SegSlot(rule, j);
+    for (const RuleSummary::Piece* p = sum.SlotBegin(slot);
+         p != sum.SlotEnd(slot); ++p) {
+      std::string s = std::to_string(p->start) + ":" +
+                      std::string(g.labels().Name(p->label));
+      if (p->slot != RuleSummary::kTerminal) {
+        s += "." + std::to_string(p->slot - sum.SegSlot(p->label, 0));
+      }
+      out.push_back(s);
+    }
+    return out;
+  };
+  using V = std::vector<std::string>;
+  EXPECT_EQ(pieces(a, 0), (V{"0:g"}));
+  EXPECT_EQ(pieces(a, 1), (V{"1:h"}));
+  EXPECT_EQ(pieces(a, 2), (V{"2:c"}));
+  EXPECT_EQ(pieces(g.start(), 0),
+            (V{"0:f", "1:A.0", "2:a", "3:A.1", "4:b", "5:A.2", "6:A.0", "7:b",
+               "8:A.1", "9:a", "10:A.2"}));
+  // Callees' slots precede their callers'.
+  EXPECT_LT(sum.SegSlot(a, 2), sum.SegSlot(g.start(), 0));
+  std::vector<int64_t> count = sum.CountPerSlot(g.labels().Find("c"));
+  EXPECT_EQ(count[static_cast<size_t>(sum.SegSlot(a, 1))], 0);
+  EXPECT_EQ(count[static_cast<size_t>(sum.SegSlot(a, 2))], 1);
+  EXPECT_EQ(count[static_cast<size_t>(sum.SegSlot(g.start(), 0))], 2);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "src/grammar/text_format.h"
 #include "src/grammar/value.h"
 #include "src/xml/binary_encoding.h"
+#include "src/xml/xml_parser.h"
 
 namespace slg {
 namespace {
@@ -29,8 +30,10 @@ Grammar CompressedCorpus(Corpus c) {
   return GrammarRePair(Grammar::ForTree(std::move(bin), labels), {}).grammar;
 }
 
-// Checks every navigation query against the decompressed tree.
-void CrossCheck(const Grammar& g) {
+// Checks every navigation query against the decompressed tree: LabelAt
+// at every position, FindLabel at the first, a middle and the last
+// occurrence of every label — at every occurrence of `every_k`.
+void CrossCheck(const Grammar& g, LabelId every_k = kNoLabel) {
   RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
   SnapshotNav nav(&g, &meta);
 
@@ -57,8 +60,12 @@ void CrossCheck(const Grammar& g) {
 
   for (const auto& [label, where] : positions) {
     const int64_t count = static_cast<int64_t>(where.size());
-    // First, a middle one, and the last occurrence.
-    for (int64_t k : {int64_t{1}, (count + 1) / 2, count}) {
+    std::vector<int64_t> ks = {1, (count + 1) / 2, count};
+    if (label == every_k) {
+      ks.clear();
+      for (int64_t k = 1; k <= count; ++k) ks.push_back(k);
+    }
+    for (int64_t k : ks) {
       StatusOr<int64_t> pos = nav.FindLabel(label, k);
       ASSERT_TRUE(pos.ok()) << "label " << label << " k " << k;
       ASSERT_EQ(pos.value(), where[k - 1]) << "label " << label << " k " << k;
@@ -102,6 +109,90 @@ TEST(SnapshotNavTest, DeepSharedChain) {
   SnapshotNav nav(&g, &meta);
   EXPECT_EQ(nav.DerivedSize(), ValueNodeCount(g));
   CrossCheck(g);
+}
+
+TEST(SnapshotNavTest, NestedCalls) {
+  // Calls nested inside each other's arguments: every level's target
+  // lies in a segment entered through an argument of the level above.
+  for (int k : {1, 7, 64}) {
+    SCOPED_TRACE(k);
+    CrossCheck(NestedCallGrammar(k));
+  }
+}
+
+TEST(SnapshotNavTest, Doubling) { CrossCheck(DoublingGrammar(10)); }
+
+// A flat document of n siblings <s/> under one root: a binary chain of
+// depth n, which compression folds into nested parameterized rules.
+Grammar FlatSiblings(int n, bool compress) {
+  std::string xml = "<r>";
+  for (int i = 0; i < n; ++i) xml += "<s/>";
+  xml += "</r>";
+  LabelTable labels;
+  Tree bin = EncodeBinary(ParseXml(xml).take(), &labels);
+  Grammar g = Grammar::ForTree(std::move(bin), labels);
+  return compress ? GrammarRePair(std::move(g), {}).grammar : std::move(g);
+}
+
+TEST(SnapshotNavTest, FlatSiblingChain) {
+  Grammar g = FlatSiblings(20000, /*compress=*/true);
+  CrossCheck(g, g.labels().Find("s"));
+  // Uncompressed, the whole chain is one start-rule segment.
+  CrossCheck(FlatSiblings(20000, /*compress=*/false));
+}
+
+// Label at preorder position p of the complete binary tree of height
+// h (internal nodes f, leaves a); each child subtree of a node of
+// height h has 2^h - 1 nodes.
+std::string CompleteTreeLabel(int64_t p, int h) {
+  for (;;) {
+    if (p == 1) return h == 0 ? "a" : "f";
+    --p;
+    bool left = h >= 63 || p <= (int64_t{1} << h) - 1;
+    if (!left) p -= (int64_t{1} << h) - 1;
+    --h;
+  }
+}
+
+// Position of the k-th leaf (1-based) of the complete binary tree of
+// height h, for k small enough that only the low bits of k-1 are set.
+int64_t CompleteTreeLeaf(int64_t k, int h) {
+  int64_t pos = 1;
+  for (; h >= 1; --h) {
+    bool right = h - 1 < 63 && (((k - 1) >> (h - 1)) & 1);
+    pos += right ? (int64_t{1} << h) : 1;
+  }
+  return pos;
+}
+
+TEST(SnapshotNavTest, SaturatedDerivedSize) {
+  // val(S) has 2^81 - 1 nodes: every size above the cap saturates,
+  // and positions up to the cap must still be exact.
+  constexpr int kHeight = 80;
+  Grammar g = DoublingGrammar(kHeight);
+  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
+  SnapshotNav nav(&g, &meta);
+  ASSERT_EQ(nav.DerivedSize(), kSizeCap);
+
+  std::vector<int64_t> probes;
+  for (int64_t p = 1; p <= 4096; ++p) probes.push_back(p);
+  for (int64_t d = -3; d <= 3; ++d) probes.push_back((int64_t{1} << 40) + d);
+  probes.push_back(nav.DerivedSize());
+  for (int64_t p : probes) {
+    StatusOr<LabelId> l = nav.LabelAt(p);
+    ASSERT_TRUE(l.ok()) << "preorder " << p;
+    ASSERT_EQ(g.labels().Name(l.value()), CompleteTreeLabel(p, kHeight))
+        << "preorder " << p;
+  }
+  EXPECT_EQ(nav.LabelAt(nav.DerivedSize() + 1).status().code(),
+            StatusCode::kOutOfRange);
+
+  LabelId leaf = g.labels().Find("a");
+  for (int64_t k = 1; k <= 64; ++k) {
+    StatusOr<int64_t> pos = nav.FindLabel(leaf, k);
+    ASSERT_TRUE(pos.ok()) << "k " << k;
+    EXPECT_EQ(pos.value(), CompleteTreeLeaf(k, kHeight)) << "k " << k;
+  }
 }
 
 }  // namespace
