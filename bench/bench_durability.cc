@@ -1,18 +1,19 @@
 // Durable-store overhead: journal append cost per fsync policy, and
 // recovery (Open) cost as a function of journal length.
 //
-// Section 1 replays the same batched §V-C workload through a
+// Section 1 journals the same batched §V-C workload into a
 // DurableDocument once per fsync policy (kNone / kEveryBatch /
-// kEveryN=8) with automatic checkpoints disabled, so the runs differ
-// only in when the journal fsyncs. Journal bytes, op and batch counts
-// are deterministic context; append timings are advisory (CI runners
-// are 1-core and noisy, and fsync cost is filesystem-dependent).
+// kEveryN=8) without checkpoints, so the runs differ only in when the
+// journal fsyncs. Journal bytes, op and batch counts are deterministic
+// context; encode + append timings are advisory (CI runners are 1-core
+// and noisy, and fsync cost is filesystem-dependent).
 //
 // Section 2 builds a store whose journal holds L committed batches
 // (L in --recover-lengths, default 25,50,100,200), closes it, and
-// times DurableDocument::Open — snapshot decode + CRC check + full
-// replay through the batch engine. Replayed batch counts and the
-// recovered grammar's edge count are deterministic and CI-gated via
+// times DocumentService::Open — snapshot decode + CRC check + replay
+// of every committed batch onto the base (ReplayBatch) + the read
+// indexes of both snapshots. Replayed batch counts and the recovered
+// grammar's edge count are deterministic and CI-gated via
 // tools/bench_compare.py; recovery timings are advisory.
 //
 // Writes BENCH_durability.json (override with --out=...); the
@@ -23,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +36,7 @@
 #include "src/grammar/stats.h"
 #include "src/obs/metrics.h"
 #include "src/obs/session.h"
+#include "src/service/document_service.h"
 #include "src/store/durable_document.h"
 #include "src/store/io.h"
 #include "src/workload/update_workload.h"
@@ -81,10 +84,30 @@ Prepared PrepareWorkload(double scale, int num_batches, int batch_size,
 
 DurableDocumentOptions StoreOptions(FsyncPolicy policy, int every_n) {
   DurableDocumentOptions opts;
-  opts.update.growth_trigger = 0;  // no rotations: isolate append/replay cost
   opts.journal.policy = policy;
   opts.journal.every_n = every_n;
   return opts;
+}
+
+// Journals batches[0, n) into `doc`. The workload names only labels of
+// the starting grammar's table, so each batch encodes against it.
+Status JournalBatches(const Prepared& p, size_t n, DurableDocument* doc) {
+  for (size_t i = 0; i < n; ++i) {
+    SLG_RETURN_IF_ERROR(
+        doc->AppendBatch(EncodeBatch(p.batches[i], p.start.labels())));
+  }
+  return Status::Ok();
+}
+
+// Serves the store in `dir`, merging only on Flush (so recovery runs
+// no repair).
+StatusOr<std::unique_ptr<DocumentService>> Recover(
+    const std::string& dir, const DurableDocumentOptions& opts) {
+  ServiceOptions so;
+  so.update.growth_trigger = 0;
+  so.durable_dir = dir;
+  so.journal = opts.journal;
+  return DocumentService::Open(so);
 }
 
 int Run(int argc, char** argv) {
@@ -132,20 +155,20 @@ int Run(int argc, char** argv) {
     RemoveStoreDir(dir);
     int64_t bytes_before = journal_bytes_counter.Value();
     StatusOr<DurableDocument> doc = DurableDocument::Create(
-        dir, p.start.Clone(), StoreOptions(row.policy, row.every_n));
+        dir, p.start, StoreOptions(row.policy, row.every_n));
     if (!doc.ok()) {
       std::fprintf(stderr, "Create failed: %s\n",
                    doc.status().ToString().c_str());
       return 1;
     }
     Timer timer;
+    Status s = JournalBatches(p, p.batches.size(), &doc.value());
+    if (!s.ok()) {
+      std::fprintf(stderr, "AppendBatch failed: %s\n", s.ToString().c_str());
+      return 1;
+    }
     int64_t ops = 0;
     for (const std::vector<UpdateOp>& batch : p.batches) {
-      Status s = doc.value().ApplyBatch(batch);
-      if (!s.ok()) {
-        std::fprintf(stderr, "ApplyBatch failed: %s\n", s.ToString().c_str());
-        return 1;
-      }
       ops += static_cast<int64_t>(batch.size());
     }
     if (!doc.value().Sync().ok() || !doc.value().Close().ok()) {
@@ -183,18 +206,16 @@ int Run(int argc, char** argv) {
         StoreOptions(FsyncPolicy::kEveryBatch, 8);
     int64_t bytes_before = journal_bytes_counter.Value();
     StatusOr<DurableDocument> doc =
-        DurableDocument::Create(dir, big.start.Clone(), opts);
+        DurableDocument::Create(dir, big.start, opts);
     if (!doc.ok()) {
       std::fprintf(stderr, "Create failed: %s\n",
                    doc.status().ToString().c_str());
       return 1;
     }
-    for (int i = 0; i < len; ++i) {
-      Status s = doc.value().ApplyBatch(big.batches[i]);
-      if (!s.ok()) {
-        std::fprintf(stderr, "ApplyBatch failed: %s\n", s.ToString().c_str());
-        return 1;
-      }
+    Status s = JournalBatches(big, static_cast<size_t>(len), &doc.value());
+    if (!s.ok()) {
+      std::fprintf(stderr, "AppendBatch failed: %s\n", s.ToString().c_str());
+      return 1;
     }
     if (!doc.value().Close().ok()) {
       std::fprintf(stderr, "Close failed\n");
@@ -203,7 +224,7 @@ int Run(int argc, char** argv) {
     int64_t journal_bytes = journal_bytes_counter.Value() - bytes_before;
     int64_t replayed_before = replayed_counter.Value();
     Timer timer;
-    StatusOr<DurableDocument> back = DurableDocument::Open(dir, opts);
+    StatusOr<std::unique_ptr<DocumentService>> back = Recover(dir, opts);
     double ms = timer.ElapsedMillis();
     if (!back.ok()) {
       std::fprintf(stderr, "Open failed: %s\n",
@@ -211,7 +232,9 @@ int Run(int argc, char** argv) {
       return 1;
     }
     int64_t replayed = replayed_counter.Value() - replayed_before;
-    int64_t edges = ComputeStats(back.value().grammar()).edge_count;
+    DocumentService::Reader recovered = back.value()->OpenReader();
+    int64_t edges = ComputeStats(recovered.snapshot().grammar()).edge_count;
+    back.value().reset();
     recover_table.AddRow({TablePrinter::Num(replayed),
                           TablePrinter::Num(journal_bytes / 1024),
                           TablePrinter::Num(edges),
@@ -223,7 +246,6 @@ int Run(int argc, char** argv) {
               {"replayed_batches", static_cast<double>(replayed)},
               {"recovered_edges", static_cast<double>(edges)},
               {"recover_ms", ms}});
-    (void)back.value().Close();
     RemoveStoreDir(dir);
   }
   recover_table.Print();

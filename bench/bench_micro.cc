@@ -27,7 +27,6 @@
 #include "src/repair/tree_repair.h"
 #include "src/service/snapshot.h"
 #include "src/update/batch.h"
-#include "src/update/path_isolation.h"
 #include "src/update/update_ops.h"
 #include "src/workload/update_workload.h"
 #include "src/xml/binary_encoding.h"
@@ -256,7 +255,7 @@ void BM_PathIsolation(benchmark::State& state) {
   int64_t pos = 1;
   for (auto _ : state) {
     Grammar g = f.grammar.Clone();
-    auto u = IsolateNode(&g, 1 + (pos * 7919) % f.nodes);
+    auto u = BatchUpdater(&g).Isolate(1 + (pos * 7919) % f.nodes);
     benchmark::DoNotOptimize(u.ok());
     ++pos;
   }

@@ -42,7 +42,7 @@
 // instrumented run covers every subsystem: ShardedCompress (pinned
 // shard and thread counts — the output and the metrics row stay
 // hardware-independent), then a DurableDocument journal-append loop
-// and a recovery Open. Journal bytes and replayed batch counts are
+// and a DocumentService::Open recovery. Journal bytes and replayed batch counts are
 // read back from the metrics registry — the registry is the one
 // source of truth, and the journal-bytes counter is asserted against
 // the file's size on disk.
@@ -54,6 +54,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,7 @@
 #include "src/obs/session.h"
 #include "src/pipeline/sharded_compressor.h"
 #include "src/repair/tree_repair.h"
+#include "src/service/document_service.h"
 #include "src/store/durable_document.h"
 #include "src/store/io.h"
 #include "src/update/batch.h"
@@ -523,20 +525,22 @@ int Run(int argc, char** argv) {
     std::string dir = "bench_updates_store";
     RemoveStoreDir(dir);
     DurableDocumentOptions dopts;
-    dopts.update.growth_trigger = 0;  // no rotations: keep one journal file
     dopts.journal.policy = FsyncPolicy::kEveryN;
     dopts.journal.every_n = 8;
     int64_t bytes_before = journal_bytes_counter.Value();
     StatusOr<DurableDocument> doc =
-        DurableDocument::Create(dir, store_seed.Clone(), dopts);
+        DurableDocument::Create(dir, store_seed, dopts);
     SLG_CHECK(doc.ok());
     constexpr int kBatch = 4;
     int64_t batches = 0;
+    // No checkpoints: one journal file. The workload names only labels
+    // of the seed's table, so every batch encodes against it.
     for (size_t i = 0; i < w.ops.size(); i += kBatch) {
       size_t end = std::min(w.ops.size(), i + kBatch);
       std::vector<UpdateOp> batch(w.ops.begin() + static_cast<int64_t>(i),
                                   w.ops.begin() + static_cast<int64_t>(end));
-      SLG_CHECK(doc.value().ApplyBatch(batch).ok());
+      SLG_CHECK(
+          doc.value().AppendBatch(EncodeBatch(batch, store_seed.labels())).ok());
       ++batches;
     }
     SLG_CHECK(doc.value().Sync().ok());
@@ -548,11 +552,17 @@ int Run(int argc, char** argv) {
               FileSize(JoinPath(dir, JournalFileName(1))).value());
 
     int64_t replayed_before = replayed_counter.Value();
-    StatusOr<DurableDocument> back = DurableDocument::Open(dir, dopts);
+    ServiceOptions so;
+    so.update.growth_trigger = 0;  // merge only on Flush: recovery only
+    so.durable_dir = dir;
+    so.journal = dopts.journal;
+    StatusOr<std::unique_ptr<DocumentService>> back = DocumentService::Open(so);
     SLG_CHECK(back.ok());
     int64_t replayed = replayed_counter.Value() - replayed_before;
-    int64_t recovered_edges = ComputeStats(back.value().grammar()).edge_count;
-    (void)back.value().Close();
+    DocumentService::Reader recovered = back.value()->OpenReader();
+    int64_t recovered_edges =
+        ComputeStats(recovered.snapshot().grammar()).edge_count;
+    back.value().reset();
     RemoveStoreDir(dir);
 
     stable.AddRow({info.name, TablePrinter::Num(xml.EdgeCount()),

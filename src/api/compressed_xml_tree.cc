@@ -100,11 +100,8 @@ void CompressedXmlTree::Recompress() {
   std::vector<LabelId> damage = std::move(pending_damage_);
   pending_damage_.clear();
   pending_damage_seen_.clear();
-  Grammar g = snap_->grammar().Clone();
   GrammarRepairResult r =
-      options_.localized && updates_since_recompress_ > 0
-          ? LocalizedGrammarRePair(std::move(g), damage, options_.repair)
-          : GrammarRePair(std::move(g), options_.repair);
+      RecompressDamaged(snap_->grammar().Clone(), damage, options_);
   snap_ = GrammarSnapshot::Make(std::move(r.grammar), snap_->version() + 1);
   updates_since_recompress_ = 0;
 }

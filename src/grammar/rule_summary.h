@@ -4,7 +4,7 @@
 // privately: SnapshotNav built static-size/parameter-interval tables
 // in its constructor, GrammarCursor kept its own descent
 // boundary-resolution loop, and snapshot statistics re-walked the DAG
-// through ValueElementCount / DerivedSubtreeSizes. A RuleSummary is
+// through ValueElementCount. A RuleSummary is
 // that knowledge computed once — at snapshot publish time, off the
 // writer lock — and consumed by SnapshotNav, GrammarCursor (via the
 // shared descent helper below), the CompressedXmlTree /
@@ -71,8 +71,8 @@ namespace slg {
 
 // Bottom-up static sizes for every node of one rule body (or the
 // start rule's tree), indexed by NodeId (dead ids hold 0). The one
-// implementation shared by RuleSummary::Build and the update path's
-// DerivedSubtreeSizes. `meta` must be a with-sizes snapshot.
+// implementation shared by RuleSummary::Build and BatchUpdater's
+// start-rule size table. `meta` must be a with-sizes snapshot.
 std::vector<int64_t> ComputeStaticSizes(const Tree& t, const RuleMeta& meta);
 
 class RuleSummary {

@@ -1,5 +1,6 @@
 #include "src/service/document_service.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <unordered_set>
 #include <utility>
@@ -43,21 +44,37 @@ struct ServiceMetrics {
   }
 };
 
-DurableDocumentOptions MakeDurableOptions(const ServiceOptions& o) {
-  DurableDocumentOptions d;
-  d.journal = o.journal;
-  d.update = o.update;
-  // The embedded store never checkpoints itself: its adaptive trigger
-  // would recompress + snapshot synchronously inside the write path
-  // while mu_ is held (stalling every writer and the merge splice) and
-  // duplicate the recompression the merge thread already does. The
-  // merge thread drives Checkpoint() explicitly instead, off mu_.
-  d.update.growth_trigger = 0;
-  d.fault_injector = o.fault_injector;
-  return d;
+std::vector<UpdateOp> OneOp(UpdateOp::Kind kind, int64_t preorder) {
+  std::vector<UpdateOp> ops(1);
+  ops[0].kind = kind;
+  ops[0].preorder = preorder;
+  return ops;
 }
 
 }  // namespace
+
+// --- the lineage's transitions ---------------------------------------------
+
+StatusOr<BatchEffect> ReplayBatch(Grammar* g, std::string_view encoded) {
+  std::vector<UpdateOp> ops;
+  SLG_RETURN_IF_ERROR(DecodeBatch(encoded, &g->labels(), &ops));
+  return ApplyOps(g, ops);
+}
+
+StatusOr<Grammar> FoldJournal(Grammar base,
+                              const std::vector<std::string>& batches,
+                              const UpdateOptions& options) {
+  std::vector<LabelId> damage;
+  std::unordered_set<LabelId> seen;
+  for (const std::string& encoded : batches) {
+    StatusOr<BatchEffect> e = ReplayBatch(&base, encoded);
+    if (!e.ok()) return e.status();
+    for (LabelId r : e.value().damage) {
+      if (seen.insert(r).second) damage.push_back(r);
+    }
+  }
+  return RecompressDamaged(std::move(base), damage, options).grammar;
+}
 
 // --- factories -------------------------------------------------------------
 
@@ -83,10 +100,9 @@ StatusOr<std::unique_ptr<DocumentService>> DocumentService::FromSnapshot(
   }
   std::optional<DurableDocument> durable;
   if (!options.durable_dir.empty()) {
-    StatusOr<DurableDocument> d =
-        DurableDocument::Create(options.durable_dir,
-                                snapshot->grammar().Clone(),
-                                MakeDurableOptions(options));
+    StatusOr<DurableDocument> d = DurableDocument::Create(
+        options.durable_dir, snapshot->grammar(),
+        {options.journal, options.fault_injector});
     if (!d.ok()) return d.status();
     durable.emplace(d.take());
   }
@@ -99,15 +115,32 @@ StatusOr<std::unique_ptr<DocumentService>> DocumentService::Open(
   if (options.durable_dir.empty()) {
     return Status::InvalidArgument("Open requires options.durable_dir");
   }
-  StatusOr<DurableDocument> d =
-      DurableDocument::Open(options.durable_dir, MakeDurableOptions(options));
+  // The whole recovery — snapshot load, rotation re-runs, journal
+  // replay into the overlay — is the durable store's recover layer.
+  obs::TraceSpan span("store.recover");
+  DurableDocument::Recovered rec;
+  StatusOr<DurableDocument> d = DurableDocument::Open(
+      options.durable_dir, {options.journal, options.fault_injector},
+      [&options](Grammar base, const std::vector<std::string>& batches) {
+        return FoldJournal(std::move(base), batches, options.update);
+      },
+      &rec);
   if (!d.ok()) return d.status();
-  Grammar g = d.value().grammar().Clone();
-  std::optional<DurableDocument> durable;
-  durable.emplace(d.take());
-  return std::unique_ptr<DocumentService>(
-      new DocumentService(options, GrammarSnapshot::Make(std::move(g)),
-                          std::move(durable)));
+  std::unique_ptr<DocumentService> svc(new DocumentService(
+      options, GrammarSnapshot::Make(std::move(rec.base)), d.take()));
+  std::lock_guard<std::mutex> lk(svc->mu_);
+  for (std::string& encoded : rec.batches) {
+    svc->pending_.push_back(PendingBatch{std::move(encoded), {}});
+  }
+  svc->acked_batches_ = static_cast<int64_t>(svc->pending_.size());
+  Status replayed = svc->RebaseLocked(svc->state_->base);
+  if (!replayed.ok()) {
+    // A committed, CRC-valid batch that does not apply: the corruption
+    // beat the checksum, and there is no later state to fall back to.
+    return Status::DataLoss("journal holds an unreplayable committed batch: " +
+                            replayed.message());
+  }
+  return svc;
 }
 
 DocumentService::DocumentService(ServiceOptions options,
@@ -117,11 +150,6 @@ DocumentService::DocumentService(ServiceOptions options,
   auto ns = std::make_shared<ServiceState>();
   ns->base = std::move(initial);
   state_ = std::move(ns);
-  if (options_.merge_strategy == MergeStrategy::kUdc) {
-    UdcOptions uo;
-    uo.mode = UdcOptions::Mode::kDagShared;
-    udc_.emplace(uo);
-  }
   merge_thread_ = std::thread(&DocumentService::MergeLoop, this);
 }
 
@@ -149,151 +177,78 @@ DocumentService::Reader DocumentService::OpenReader() const {
 
 Status DocumentService::Writer::Apply(const std::vector<UpdateOp>& ops) {
   if (ops.empty()) return Status::Ok();
-  obs::TraceSpan span("service.write");
-  Timer timer;
-  DocumentService* s = service_;
-  std::unique_lock<std::mutex> lk(s->mu_);
-  Grammar next = s->state_->effective().grammar().Clone();
-  std::vector<LabelId> damage;
-  int64_t edges = 0;
-  {
-    BatchUpdater bu(&next);
-    for (const UpdateOp& op : ops) {
-      // Failure before publication: the clone is dropped, the service
-      // state and the durable store are untouched — batch atomicity.
-      SLG_RETURN_IF_ERROR(bu.Apply(op));
-    }
-    damage = bu.DamagedRules();
-    edges = bu.EdgesAdded();
-    bu.Finish();
-  }
-  SLG_RETURN_IF_ERROR(
-      s->CommitLocked(std::move(next), ops, std::move(damage), edges));
-  ServiceMetrics::Get().write_us.Record(
-      static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
-  return Status::Ok();
+  return service_->Write(
+      [&ops](LabelTable*) -> StatusOr<std::vector<UpdateOp>> { return ops; });
 }
 
 Status DocumentService::Writer::Rename(int64_t preorder,
                                        std::string_view new_tag) {
-  obs::TraceSpan span("service.write");
-  Timer timer;
-  DocumentService* s = service_;
-  std::unique_lock<std::mutex> lk(s->mu_);
-  Grammar next = s->state_->effective().grammar().Clone();
-  std::vector<UpdateOp> ops(1);
-  ops[0].kind = UpdateOp::Kind::kRename;
-  ops[0].preorder = preorder;
-  std::vector<LabelId> damage;
-  int64_t edges = 0;
-  {
-    BatchUpdater bu(&next);
-    SLG_RETURN_IF_ERROR(bu.Rename(preorder, new_tag));
-    damage = bu.DamagedRules();
-    edges = bu.EdgesAdded();
-    bu.Finish();
-  }
-  // Rename interned the target label; the op (and its journal
-  // encoding) must reference it in the clone's table.
-  ops[0].label = next.labels().Find(new_tag);
-  SLG_RETURN_IF_ERROR(
-      s->CommitLocked(std::move(next), ops, std::move(damage), edges));
-  ServiceMetrics::Get().write_us.Record(
-      static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
-  return Status::Ok();
+  return service_->Write(
+      [&](LabelTable* labels) -> StatusOr<std::vector<UpdateOp>> {
+        std::vector<UpdateOp> ops = OneOp(UpdateOp::Kind::kRename, preorder);
+        // BatchUpdater rejects ⊥ and ranks other than 2.
+        LabelId id = labels->Find(new_tag);
+        ops[0].label = id != kNoLabel ? id : labels->Intern(new_tag, 2);
+        return ops;
+      });
 }
 
 Status DocumentService::Writer::InsertXmlBefore(int64_t preorder,
                                                 std::string_view xml_fragment) {
-  obs::TraceSpan span("service.write");
-  Timer timer;
   StatusOr<XmlTree> parsed = ParseXml(xml_fragment);
   if (!parsed.ok()) return parsed.status();
-  DocumentService* s = service_;
-  std::unique_lock<std::mutex> lk(s->mu_);
-  Grammar next = s->state_->effective().grammar().Clone();
-  Tree frag = EncodeBinary(parsed.value(), &next.labels());
-  std::vector<UpdateOp> ops(1);
-  ops[0].kind = UpdateOp::Kind::kInsert;
-  ops[0].preorder = preorder;
-  ops[0].fragment = frag;
-  std::vector<LabelId> damage;
-  int64_t edges = 0;
-  {
-    BatchUpdater bu(&next);
-    SLG_RETURN_IF_ERROR(bu.InsertBefore(preorder, frag));
-    damage = bu.DamagedRules();
-    edges = bu.EdgesAdded();
-    bu.Finish();
-  }
-  SLG_RETURN_IF_ERROR(
-      s->CommitLocked(std::move(next), ops, std::move(damage), edges));
-  ServiceMetrics::Get().write_us.Record(
-      static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
-  return Status::Ok();
+  return service_->Write(
+      [&](LabelTable* labels) -> StatusOr<std::vector<UpdateOp>> {
+        std::vector<UpdateOp> ops = OneOp(UpdateOp::Kind::kInsert, preorder);
+        ops[0].fragment = EncodeBinary(parsed.value(), labels);
+        return ops;
+      });
 }
 
 Status DocumentService::Writer::Delete(int64_t preorder) {
-  obs::TraceSpan span("service.write");
-  Timer timer;
-  DocumentService* s = service_;
-  std::unique_lock<std::mutex> lk(s->mu_);
-  Grammar next = s->state_->effective().grammar().Clone();
-  std::vector<UpdateOp> ops(1);
-  ops[0].kind = UpdateOp::Kind::kDelete;
-  ops[0].preorder = preorder;
-  std::vector<LabelId> damage;
-  int64_t edges = 0;
-  {
-    BatchUpdater bu(&next);
-    SLG_RETURN_IF_ERROR(bu.Delete(preorder));
-    damage = bu.DamagedRules();
-    edges = bu.EdgesAdded();
-    bu.Finish();
-  }
-  SLG_RETURN_IF_ERROR(
-      s->CommitLocked(std::move(next), ops, std::move(damage), edges));
-  ServiceMetrics::Get().write_us.Record(
-      static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
-  return Status::Ok();
+  return service_->Write(
+      [preorder](LabelTable*) -> StatusOr<std::vector<UpdateOp>> {
+        return OneOp(UpdateOp::Kind::kDelete, preorder);
+      });
 }
 
-Status DocumentService::CommitLocked(Grammar next,
-                                     const std::vector<UpdateOp>& ops,
-                                     std::vector<LabelId> damage,
-                                     int64_t edges) {
+Status DocumentService::Write(const BatchBuilder& build) {
+  obs::TraceSpan span("service.write");
+  Timer timer;
+  std::lock_guard<std::mutex> lk(mu_);
+  Grammar next = state_->effective().grammar().Clone();
+  StatusOr<std::vector<UpdateOp>> ops = build(&next.labels());
+  if (!ops.ok()) return ops.status();
+  // Failure before publication: the clone is dropped, the service
+  // state and the journal are untouched — batch atomicity.
+  StatusOr<BatchEffect> applied = ApplyOps(&next, ops.value());
+  if (!applied.ok()) return applied.status();
+  BatchEffect effect = applied.take();
   // Journal first, acknowledge second: a batch whose Apply returned Ok
   // is durable per the fsync policy before any reader can see it. A
   // journal failure publishes nothing (the store poisons itself; the
-  // served state stays at the last acknowledged version).
-  // The payload is encoded against the SERVICE lineage's table and
-  // handed to the durable store in that self-contained, name-based
-  // form: the store decodes it against its own table, whose LabelIds
-  // diverge from ours as soon as a merge or a checkpoint mints Fresh()
-  // labels — raw service ids would resolve to the wrong names there.
-  std::string encoded = EncodeBatch(ops, next.labels());
-  if (durable_) {
-    std::lock_guard<std::mutex> dlk(durable_mu_);
-    SLG_RETURN_IF_ERROR(durable_->ApplyEncodedBatch(encoded));
-  }
-  auto snap = GrammarSnapshot::Make(std::move(next), acked_batches_ + 1);
+  // served state stays at the last acknowledged version). The payload
+  // carries label names, so it replays onto any later base — the
+  // splice and recovery decode it against the base's own table.
+  std::string encoded = EncodeBatch(ops.value(), next.labels());
+  if (durable_) SLG_RETURN_IF_ERROR(durable_->AppendBatch(encoded));
   auto ns = std::make_shared<ServiceState>();
   ns->base = state_->base;
-  ns->overlay = std::move(snap);
+  ns->overlay = GrammarSnapshot::Make(std::move(next), acked_batches_ + 1);
   ns->overlay_batches = state_->overlay_batches + 1;
-  ns->overlay_edges = state_->overlay_edges + edges;
-  pending_.push_back(PendingBatch{std::move(encoded), std::move(damage), edges,
-                                  static_cast<int64_t>(ops.size())});
+  ns->overlay_edges = state_->overlay_edges + effect.edges_added;
   ++acked_batches_;
-  acked_ops_ += static_cast<int64_t>(ops.size());
-  overlay_ops_ += static_cast<int64_t>(ops.size());
+  acked_ops_ += effect.ops;
+  overlay_ops_ += effect.ops;
   ServiceMetrics& m = ServiceMetrics::Get();
   m.batches.Increment();
-  m.ops.Add(static_cast<int64_t>(ops.size()));
+  m.ops.Add(effect.ops);
   m.overlay_edges.Set(ns->overlay_edges);
   m.overlay_batches.Set(ns->overlay_batches);
+  pending_.push_back(PendingBatch{std::move(encoded), std::move(effect)});
   std::atomic_store(&state_, std::shared_ptr<const ServiceState>(std::move(ns)));
   if (MergeNeededLocked()) cv_.notify_all();
+  m.write_us.Record(static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
   return Status::Ok();
 }
 
@@ -338,75 +293,45 @@ void DocumentService::MergeOnce(std::unique_lock<std::mutex>& lk) {
   {
     std::unordered_set<LabelId> seen;
     for (size_t i = 0; i < k; ++i) {
-      for (LabelId r : pending_[i].damage) {
+      for (LabelId r : pending_[i].effect.damage) {
         if (seen.insert(r).second) damage.push_back(r);
       }
     }
   }
   int64_t v = in_state->effective().version();
+  // Seal at capture: journal g now holds exactly the k captured
+  // batches, and batches acknowledged while the repair runs land in
+  // journal g+1. A store failure here or at the publish below poisons
+  // the store; it surfaces on the next write or Flush.
+  if (durable_) (void)durable_->Seal();
 
   // Recompress off-lock: writers keep acknowledging batches (their
   // snapshots chain off the captured overlay) and readers keep
   // loading whatever state is current.
   lk.unlock();
   Timer timer;
-  Grammar merged;
-  int64_t rescanned = 0;
-  {
+  GrammarRepairResult merged = [&] {
     obs::TraceSpan span("service.merge");
-    Grammar work = in_state->effective().grammar().Clone();
-    switch (options_.merge_strategy) {
-      case MergeStrategy::kFull: {
-        GrammarRepairResult r =
-            GrammarRePair(std::move(work), options_.update.repair);
-        merged = std::move(r.grammar);
-        rescanned = r.rules_rescanned;
-        break;
-      }
-      case MergeStrategy::kUdc:
-        if (StatusOr<UdcResult> r = udc_->Run(work); r.ok()) {
-          UdcResult res = r.take();
-          merged = std::move(res.grammar);
-          break;
-        }
-        // Decompression budget exceeded — degrade to the localized
-        // merge rather than stalling the service.
-        [[fallthrough]];
-      case MergeStrategy::kLocalized: {
-        GrammarRepairResult r = LocalizedGrammarRePair(std::move(work), damage,
-                                                       options_.update.repair);
-        merged = std::move(r.grammar);
-        rescanned = r.rules_rescanned;
-        break;
-      }
-    }
-  }
+    return RecompressDamaged(in_state->effective().grammar().Clone(), damage,
+                             options_.update);
+  }();
   int64_t elapsed_us = static_cast<int64_t>(timer.ElapsedSeconds() * 1e6);
-
-  // The durable store's checkpoint rides the merge cadence, still off
-  // mu_ (MakeDurableOptions disabled its own in-write-path trigger):
-  // writers racing this block only on durable_mu_ for the rotation's
-  // duration, readers not at all. A checkpoint failure poisons the
-  // store and surfaces as FailedPrecondition on the next write — the
-  // same failure model as any other durability-path error.
-  if (durable_ && options_.update.growth_trigger > 0) {
-    std::lock_guard<std::mutex> dlk(durable_mu_);
-    (void)durable_->Checkpoint();
-  }
-
   // Snapshot construction builds every read index — the with-sizes
   // RuleMeta and the shared RuleSummary (label filters, piece
   // tables) — so it runs here, off the lock; only the
   // splice below needs mu_.
   std::shared_ptr<const GrammarSnapshot> base_snap =
-      GrammarSnapshot::Make(std::move(merged), v);
+      GrammarSnapshot::Make(std::move(merged.grammar), v);
 
   lk.lock();
+  // The merged base is snapshot g+1: the fold of snapshot g and the
+  // journal sealed above, which recovery would rebuild byte-for-byte.
+  if (durable_) (void)durable_->PublishSnapshot(base_snap->grammar());
   ++merges_;
-  merge_rescans_ += rescanned;
+  merge_rescans_ += merged.rules_rescanned;
   ServiceMetrics& m = ServiceMetrics::Get();
   m.merges.Increment();
-  m.rescans.Add(rescanned);
+  m.rescans.Add(merged.rules_rescanned);
   m.merge_us.Record(elapsed_us);
 
   // Splice: the k captured batches are folded into the new base;
@@ -417,51 +342,51 @@ void DocumentService::MergeOnce(std::unique_lock<std::mutex>& lk) {
   // fresh damage sets valid in that lineage for the next merge.
   pending_.erase(pending_.begin(),
                  pending_.begin() + static_cast<std::ptrdiff_t>(k));
+  Status replayed = RebaseLocked(std::move(base_snap));
+  SLG_CHECK_MSG(replayed.ok(), "acknowledged batch must replay");
+  merged_version_ = v;
+}
+
+Status DocumentService::RebaseLocked(
+    std::shared_ptr<const GrammarSnapshot> base) {
   auto ns = std::make_shared<ServiceState>();
-  if (pending_.empty()) {
-    ns->base = std::move(base_snap);
-    overlay_ops_ = 0;
-  } else {
-    Grammar mat = base_snap->grammar().Clone();
-    int64_t edges_total = 0;
-    int64_t ops_total = 0;
+  ns->base = std::move(base);
+  overlay_ops_ = 0;
+  if (!pending_.empty()) {
+    Grammar mat = ns->base->grammar().Clone();
     for (PendingBatch& pb : pending_) {
-      std::vector<UpdateOp> ops;
-      Status st = DecodeBatch(pb.encoded, &mat.labels(), &ops);
-      SLG_CHECK_MSG(st.ok(), "acknowledged batch must decode");
-      BatchUpdater bu(&mat);
-      for (const UpdateOp& op : ops) {
-        Status ast = bu.Apply(op);
-        SLG_CHECK_MSG(ast.ok(), "acknowledged batch must replay");
-      }
-      pb.damage = bu.DamagedRules();
-      pb.edges_added = bu.EdgesAdded();
-      bu.Finish();
-      edges_total += pb.edges_added;
-      ops_total += pb.ops;
+      StatusOr<BatchEffect> e = ReplayBatch(&mat, pb.encoded);
+      if (!e.ok()) return e.status();
+      pb.effect = e.take();
+      ns->overlay_edges += pb.effect.edges_added;
+      overlay_ops_ += pb.effect.ops;
     }
-    ns->base = std::move(base_snap);
-    ns->overlay = GrammarSnapshot::Make(
-        std::move(mat), v + static_cast<int64_t>(pending_.size()));
     ns->overlay_batches = static_cast<int64_t>(pending_.size());
-    ns->overlay_edges = edges_total;
-    overlay_ops_ = ops_total;
+    ns->overlay = GrammarSnapshot::Make(
+        std::move(mat), ns->base->version() + ns->overlay_batches);
   }
+  ServiceMetrics& m = ServiceMetrics::Get();
   m.overlay_edges.Set(ns->overlay_edges);
   m.overlay_batches.Set(ns->overlay_batches);
   std::atomic_store(&state_, std::shared_ptr<const ServiceState>(std::move(ns)));
-  merged_version_ = v;
+  return Status::Ok();
 }
 
 Status DocumentService::Flush() {
   std::unique_lock<std::mutex> lk(mu_);
   int64_t target = acked_batches_;
-  if (merged_version_ >= target) return Status::Ok();
-  flush_target_ = std::max(flush_target_, target);
-  cv_.notify_all();
-  cv_.wait(lk, [&] { return stop_ || merged_version_ >= target; });
   if (merged_version_ < target) {
-    return Status::FailedPrecondition("service stopped before flush finished");
+    flush_target_ = std::max(flush_target_, target);
+    cv_.notify_all();
+    cv_.wait(lk, [&] { return stop_ || merged_version_ >= target; });
+    if (merged_version_ < target) {
+      return Status::FailedPrecondition(
+          "service stopped before flush finished");
+    }
+  }
+  if (durable_ && durable_->poisoned()) {
+    return Status::FailedPrecondition(
+        "durable store is poisoned; reopen to recover the last checkpoint");
   }
   return Status::Ok();
 }

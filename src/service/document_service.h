@@ -1,7 +1,8 @@
 // DocumentService — the concurrent read/write entry point, and the
-// unification of the library's three public surfaces.
+// unification of the library's public surfaces.
 //
-// One service holds one compressed XML document and serves:
+// One service holds one compressed XML document — one grammar
+// lineage — and serves:
 //
 //   * any number of readers — OpenReader() atomically loads the
 //     current ServiceState (immutable base snapshot + immutable
@@ -10,32 +11,36 @@
 //     during writes and merges alike;
 //   * writers — OpenWriter() hands out a handle whose batch
 //     application runs under one writer mutex: clone the effective
-//     grammar, apply the batch (BatchUpdater), journal it
-//     (DurableDocument, when configured — journal-then-ack; the store
-//     receives the name-based EncodeBatch payload, since its LabelIds
-//     diverge from the service lineage's once either side mints fresh
-//     labels), then publish the result as the new overlay with one
-//     atomic shared_ptr swap. A failed batch publishes nothing:
-//     batches are atomic, the document is unchanged;
+//     grammar, apply the batch (BatchUpdater), journal its EncodeBatch
+//     payload (durable mode — journal-then-ack), then publish the
+//     result as the new overlay with one atomic shared_ptr swap. A
+//     failed batch publishes nothing: batches are atomic, the document
+//     is unchanged;
 //   * a background merge thread — when the overlay's gross added
 //     edges exceed UpdateOptions::growth_trigger of the base (with
-//     the min_checkpoint_ops floor), it recompresses the overlay
-//     off-lock (LocalizedGrammarRePair seeded with exactly the
-//     overlay's damage, per MergeStrategy) and splices the result in:
+//     the min_checkpoint_ops floor), or on Flush(), it recompresses
+//     the overlay off-lock (RecompressDamaged: localized repair seeded
+//     with exactly the overlay's damage, or the full repair when
+//     UpdateOptions::localized is off) and splices the result in:
 //     batches acknowledged during the merge are replayed from their
-//     journal-codec encoding onto the new base. In durable mode the
-//     merge thread also drives the store's checkpoint rotation, off
-//     the writer lock. In-flight readers are never blocked and keep
-//     their pinned versions alive via shared_ptr reference counting —
-//     the RCU reclamation argument in docs/SERVICE.md.
+//     journal-codec encoding onto the new base. In-flight readers are
+//     never blocked and keep their pinned versions alive via
+//     shared_ptr reference counting — the RCU reclamation argument in
+//     docs/SERVICE.md.
 //
-// API redesign: this is the surface that unifies CompressedXmlTree
-// (single-threaded facade over the same GrammarSnapshot type, see
-// FromSnapshot / CompressedXmlTree::Snapshot()), DurableDocument (set
-// ServiceOptions::durable_dir and every acknowledged batch is
-// journaled before the ack; Open() recovers) and UdcSession
-// (MergeStrategy::kUdc runs the decompress-recompress baseline as the
-// merge step, sharing its cross-round pool) behind one StatusOr-based
+// Durable mode (ServiceOptions::durable_dir) adds a DurableDocument as
+// a sink for this one lineage, every call under the writer mutex. The
+// service keeps one invariant: the active snapshot is
+// SerializeGrammar(base), and the active journal's committed batches
+// are exactly the unmerged (pending) batches. Every merge is a
+// checkpoint: the capture seals the journal, the splice publishes the
+// merged base as the next snapshot. Open() serves the newest snapshot
+// as the base and replays its journal into the overlay with the same
+// function the splice uses (docs/DURABILITY.md).
+//
+// CompressedXmlTree (single-threaded facade over the same
+// GrammarSnapshot type, see FromSnapshot / CompressedXmlTree::
+// Snapshot()) and the durable store sit behind this one StatusOr-based
 // Open/Reader/Writer interface.
 
 #ifndef SLG_SERVICE_DOCUMENT_SERVICE_H_
@@ -43,6 +48,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -58,43 +64,43 @@
 #include "src/store/durable_document.h"
 #include "src/store/fault_injection.h"
 #include "src/store/journal.h"
-#include "src/update/udc.h"
+#include "src/update/batch.h"
 #include "src/workload/update_workload.h"
 
 namespace slg {
 
-// How the merge thread folds the overlay into a new base.
-enum class MergeStrategy {
-  // LocalizedGrammarRePair seeded with the overlay's damage set — the
-  // paper's incremental path, cost O(damage). Default.
-  kLocalized,
-  // Full GrammarRePair over the materialized overlay.
-  kFull,
-  // The udc baseline as a service: a persistent UdcSession (DAG-shared
-  // mode) decompresses and recompresses; falls back to kLocalized if
-  // the decompression budget is exceeded.
-  kUdc,
-};
+// --- the lineage's two transitions -------------------------------------
+// Shared by the merge splice and recovery; public so the store's crash
+// tests drive the sink with exactly these.
+
+// Decodes an EncodeBatch payload against g's label table (interning
+// names it lacks) and applies it as one batch.
+StatusOr<BatchEffect> ReplayBatch(Grammar* g, std::string_view encoded);
+
+// What a sealed journal folds into: `batches` replayed onto `base`,
+// then one RecompressDamaged over their damage — the merge step the
+// merge thread runs. The store's JournalFold in durable mode.
+StatusOr<Grammar> FoldJournal(Grammar base,
+                              const std::vector<std::string>& batches,
+                              const UpdateOptions& options);
 
 struct ServiceOptions {
   ServiceOptions() {
-    // Serving documents merge adaptively by default (the durable
-    // store's default trigger); growth_trigger <= 0 merges only on
-    // Flush().
+    // Serving documents merge adaptively by default; growth_trigger
+    // <= 0 merges only on Flush().
     update.growth_trigger = 0.5;
   }
 
   // Ingest (FromXml) configuration.
   CompressOptions compress;
-  // Merge repair + adaptive merge trigger — shared verbatim with
-  // CompressedXmlTree and DurableDocumentOptions.
+  // Merge repair (localized or full) + adaptive merge trigger — shared
+  // verbatim with CompressedXmlTree.
   UpdateOptions update;
 
-  MergeStrategy merge_strategy = MergeStrategy::kLocalized;
-
   // Non-empty: every acknowledged batch is journaled to this document
-  // directory before the ack (DurableDocument's commit protocol);
-  // Open() recovers from it. Empty: in-memory only.
+  // directory before the ack, and every merge is a checkpoint
+  // (DurableDocument's commit protocol); Open() recovers from it.
+  // Empty: in-memory only.
   std::string durable_dir;
   JournalOptions journal;
   // Borrowed; nullptr (production) injects nothing.
@@ -145,7 +151,8 @@ class DocumentService {
       const ServiceOptions& options = {});
 
   // Recovers the durable document in options.durable_dir (which must
-  // be set) and serves it.
+  // be set) and serves it: the newest snapshot as the base, its
+  // journal's batches as the overlay.
   static StatusOr<std::unique_ptr<DocumentService>> Open(
       const ServiceOptions& options);
 
@@ -168,7 +175,8 @@ class DocumentService {
 
   // Blocks until every batch acknowledged before the call is merged
   // into the base snapshot (forcing a merge if the trigger would not
-  // fire). FailedPrecondition if the service shuts down first.
+  // fire) — in durable mode, checkpointed. FailedPrecondition if the
+  // service shuts down first or the durable store is poisoned.
   Status Flush();
 
   struct Stats {
@@ -187,26 +195,32 @@ class DocumentService {
  private:
   struct PendingBatch {
     std::string encoded;  // journal-codec payload (EncodeBatch)
-    std::vector<LabelId> damage;
-    int64_t edges_added = 0;
-    int64_t ops = 0;
+    BatchEffect effect;   // in the current base's lineage
   };
+
+  // Builds a batch against the clone's label table, interning there
+  // the names the batch introduces.
+  using BatchBuilder =
+      std::function<StatusOr<std::vector<UpdateOp>>(LabelTable* labels)>;
 
   DocumentService(ServiceOptions options,
                   std::shared_ptr<const GrammarSnapshot> initial,
                   std::optional<DurableDocument> durable);
 
-  // Journals (durable mode), publishes `next` as the new overlay and
-  // wakes the merge thread. Called with mu_ held.
-  Status CommitLocked(Grammar next, const std::vector<UpdateOp>& ops,
-                      std::vector<LabelId> damage, int64_t edges);
+  // The one write body behind Apply and the single-op conveniences:
+  // clone, build, apply, journal (durable mode), publish the overlay,
+  // wake the merge thread.
+  Status Write(const BatchBuilder& build);
 
   bool MergeNeededLocked() const;
   void MergeLoop();
-  // One merge cycle: captures the overlay under mu_, recompresses with
-  // mu_ released, splices under mu_ (replaying batches acknowledged
-  // meanwhile onto the new base).
+  // One merge cycle: captures the overlay (and seals the journal)
+  // under mu_, recompresses with mu_ released, splices under mu_
+  // (publishing the checkpoint).
   void MergeOnce(std::unique_lock<std::mutex>& lk);
+  // Serves `base` plus pending_ replayed onto it, refreshing each
+  // pending batch's effect in base's lineage — the splice and Open.
+  Status RebaseLocked(std::shared_ptr<const GrammarSnapshot> base);
 
   ServiceOptions options_;
 
@@ -216,13 +230,7 @@ class DocumentService {
   // via atomic_store. The pointed-to state is immutable.
   std::shared_ptr<const ServiceState> state_;
   std::vector<PendingBatch> pending_;  // acked but unmerged, in order
-  // Serializes durable_ between the write path (mu_ then durable_mu_)
-  // and the merge thread's explicit Checkpoint() (durable_mu_ alone,
-  // never while holding mu_) — the one-way order makes deadlock
-  // impossible and keeps checkpoint rotations off the writer lock.
-  std::mutex durable_mu_;
-  std::optional<DurableDocument> durable_;
-  std::optional<UdcSession> udc_;  // merge thread only (kUdc)
+  std::optional<DurableDocument> durable_;  // every call under mu_
 
   int64_t acked_batches_ = 0;
   int64_t acked_ops_ = 0;

@@ -1,15 +1,12 @@
 #include "src/store/durable_document.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "src/grammar/stats.h"
 #include "src/grammar/validate.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/store/io.h"
 #include "src/store/snapshot.h"
-#include "src/update/batch.h"
 
 namespace slg {
 
@@ -32,43 +29,6 @@ Status DurableDocument::Poison(Status s) {
   return s;
 }
 
-StatusOr<DurableDocument> DurableDocument::Create(
-    const std::string& dir, Grammar g, const DurableDocumentOptions& options) {
-  SLG_RETURN_IF_ERROR(Validate(g));
-  FaultInjector* fi = options.fault_injector;
-  SLG_RETURN_IF_ERROR(CreateDirIfMissing(dir, fi));
-  DurableDocument doc(dir, std::move(g), options);
-  doc.generation_ = 1;
-  SLG_RETURN_IF_ERROR(WriteSnapshot(dir, doc.generation_, doc.g_, fi));
-  StatusOr<JournalWriter> j =
-      JournalWriter::Create(doc.JournalPath(doc.generation_), options.journal,
-                            fi);
-  if (!j.ok()) return j.status();
-  doc.journal_.emplace(j.take());
-  SLG_RETURN_IF_ERROR(SyncDir(dir, fi));
-  doc.base_edges_ = ComputeStats(doc.g_).edge_count;
-  doc.recovery_.snapshot_generation = doc.generation_;
-  return StatusOr<DurableDocument>(std::move(doc));
-}
-
-Status DurableDocument::ReplayEncodedBatch(std::string_view encoded) {
-  std::vector<UpdateOp> ops;
-  SLG_RETURN_IF_ERROR(DecodeBatch(encoded, &g_.labels(), &ops));
-  BatchUpdater batch(&g_);
-  for (const UpdateOp& op : ops) {
-    SLG_RETURN_IF_ERROR(batch.Apply(op));
-  }
-  batch.Finish();
-  for (LabelId rule : batch.DamagedRules()) {
-    if (pending_damage_seen_.insert(rule).second) {
-      pending_damage_.push_back(rule);
-    }
-  }
-  pending_edges_ += batch.EdgesAdded();
-  ops_since_checkpoint_ += static_cast<int64_t>(ops.size());
-  return Status::Ok();
-}
-
 Status DurableDocument::Writable() const {
   if (poisoned_) {
     return Status::FailedPrecondition(
@@ -81,116 +41,67 @@ Status DurableDocument::Writable() const {
   return Status::Ok();
 }
 
-Status DurableDocument::ValidateOpLabels(
-    const std::vector<UpdateOp>& ops) const {
-  const LabelId size = g_.labels().size();
-  for (const UpdateOp& op : ops) {
-    if (op.kind == UpdateOp::Kind::kRename &&
-        (op.label < 0 || op.label >= size)) {
-      return Status::InvalidArgument(
-          "rename op label id " + std::to_string(op.label) +
-          " is not in the document's label table");
-    }
-    if (op.kind == UpdateOp::Kind::kInsert) {
-      LabelId bad = kNoLabel;
-      op.fragment.VisitPreorder(op.fragment.root(), [&](NodeId v) {
-        LabelId l = op.fragment.label(v);
-        if ((l < 0 || l >= size) && bad == kNoLabel) bad = l;
-      });
-      if (bad != kNoLabel) {
-        return Status::InvalidArgument(
-            "insert fragment label id " + std::to_string(bad) +
-            " is not in the document's label table");
-      }
-    }
-  }
-  return Status::Ok();
+StatusOr<DurableDocument> DurableDocument::Create(
+    const std::string& dir, const Grammar& base,
+    const DurableDocumentOptions& options) {
+  SLG_RETURN_IF_ERROR(Validate(base));
+  FaultInjector* fi = options.fault_injector;
+  SLG_RETURN_IF_ERROR(CreateDirIfMissing(dir, fi));
+  DurableDocument doc(dir, options);
+  doc.generation_ = 1;
+  SLG_RETURN_IF_ERROR(WriteSnapshot(dir, doc.generation_, base, fi));
+  StatusOr<JournalWriter> j =
+      JournalWriter::Create(doc.JournalPath(doc.generation_), options.journal,
+                            fi);
+  if (!j.ok()) return j.status();
+  doc.journal_.emplace(j.take());
+  SLG_RETURN_IF_ERROR(SyncDir(dir, fi));
+  doc.recovery_.snapshot_generation = doc.generation_;
+  return StatusOr<DurableDocument>(std::move(doc));
 }
 
-Status DurableDocument::CommitEncoded(std::string_view encoded) {
-  // Apply the DECODED batch, not the caller's ops: the live path then
-  // interns journal-carried label names in exactly the order replay
-  // will, so a recovered grammar is byte-identical to the live one.
-  Status applied = ReplayEncodedBatch(encoded);
-  if (!applied.ok()) {
-    // The batch may have mutated the grammar (or interned labels)
-    // before failing; the only consistent copies are on disk now.
-    return Poison(std::move(applied));
-  }
+Status DurableDocument::AppendBatch(std::string_view encoded) {
+  obs::TraceSpan span("store.apply_batch");
+  SLG_RETURN_IF_ERROR(Writable());
   Status logged = journal_->AppendBatch(encoded);
   if (!logged.ok()) return Poison(std::move(logged));
-  if (options_.update.growth_trigger > 0 &&
-      ops_since_checkpoint_ >= options_.update.min_checkpoint_ops &&
-      pending_edges_ >
-          static_cast<int64_t>(options_.update.growth_trigger *
-                               static_cast<double>(base_edges_))) {
-    return Checkpoint();
-  }
   return Status::Ok();
 }
 
-Status DurableDocument::ApplyBatch(const std::vector<UpdateOp>& ops) {
-  obs::TraceSpan span("store.apply_batch");
-  SLG_RETURN_IF_ERROR(Writable());
-  // Validate every label id the ops can reach before encoding:
-  // EncodeBatch indexes the table unchecked, and an alien id (another
-  // document's lineage) must fail cleanly, not read out of bounds.
-  SLG_RETURN_IF_ERROR(ValidateOpLabels(ops));
-  return CommitEncoded(EncodeBatch(ops, g_.labels()));
-}
-
-Status DurableDocument::ApplyEncodedBatch(std::string_view encoded) {
-  obs::TraceSpan span("store.apply_batch");
-  SLG_RETURN_IF_ERROR(Writable());
-  return CommitEncoded(encoded);
-}
-
-void DurableDocument::RecompressForCheckpoint() {
-  Grammar g = std::move(g_);
-  GrammarRepairResult r =
-      (options_.update.localized && !pending_damage_.empty())
-          ? LocalizedGrammarRePair(std::move(g), pending_damage_,
-                                   options_.update.repair)
-          : GrammarRePair(std::move(g), options_.update.repair);
-  g_ = std::move(r.grammar);
-  pending_damage_.clear();
-  pending_damage_seen_.clear();
-  pending_edges_ = 0;
-  ops_since_checkpoint_ = 0;
-  base_edges_ = ComputeStats(g_).edge_count;
-}
-
-Status DurableDocument::Checkpoint() {
+Status DurableDocument::Seal() {
   obs::TraceSpan span("store.checkpoint");
-  if (poisoned_) {
-    return Status::FailedPrecondition(
-        "document is poisoned by an earlier durability failure");
-  }
-  if (!journal_) {
-    return Status::FailedPrecondition("document is closed");
+  SLG_RETURN_IF_ERROR(Writable());
+  if (sealed_) {
+    return Status::FailedPrecondition("the previous seal awaits its snapshot");
   }
   FaultInjector* fi = options_.fault_injector;
-  // Seal journal g first (fsyncs unconditionally): from here on the
-  // chain snapshot g + journal g reproduces the post-rotation state,
-  // so every later step of the rotation is redo-able.
+  // The marker fsyncs unconditionally: from here on the chain
+  // snapshot g + journal g reproduces snapshot g+1, so every later
+  // step of the rotation is redo-able.
   Status sealed = journal_->AppendCheckpoint(generation_ + 1);
   if (!sealed.ok()) return Poison(std::move(sealed));
   Status closed = journal_->Close();
-  if (!closed.ok()) {
-    journal_.reset();
-    return Poison(std::move(closed));
-  }
   journal_.reset();
-  RecompressForCheckpoint();
+  if (!closed.ok()) return Poison(std::move(closed));
   ++generation_;
-  Status published = WriteSnapshot(dir_, generation_, g_, fi);
-  if (!published.ok()) return Poison(std::move(published));
   StatusOr<JournalWriter> j =
       JournalWriter::Create(JournalPath(generation_), options_.journal, fi);
   if (!j.ok()) return Poison(j.status());
   journal_.emplace(j.take());
   Status dir_synced = SyncDir(dir_, fi);
   if (!dir_synced.ok()) return Poison(std::move(dir_synced));
+  sealed_ = true;
+  return Status::Ok();
+}
+
+Status DurableDocument::PublishSnapshot(const Grammar& merged) {
+  obs::TraceSpan span("store.checkpoint");
+  SLG_RETURN_IF_ERROR(Writable());
+  if (!sealed_) return Status::FailedPrecondition("no sealed journal to fold");
+  sealed_ = false;
+  Status published =
+      WriteSnapshot(dir_, generation_, merged, options_.fault_injector);
+  if (!published.ok()) return Poison(std::move(published));
   Status cleaned = CleanupOldGenerations();
   if (!cleaned.ok()) return Poison(std::move(cleaned));
   return Status::Ok();
@@ -214,11 +125,7 @@ Status DurableDocument::CleanupOldGenerations() {
 }
 
 Status DurableDocument::Sync() {
-  if (poisoned_) {
-    return Status::FailedPrecondition(
-        "document is poisoned by an earlier durability failure");
-  }
-  if (!journal_) return Status::FailedPrecondition("document is closed");
+  SLG_RETURN_IF_ERROR(Writable());
   Status s = journal_->Sync();
   if (!s.ok()) return Poison(std::move(s));
   return Status::Ok();
@@ -232,32 +139,33 @@ Status DurableDocument::Close() {
 }
 
 StatusOr<DurableDocument> DurableDocument::Open(
-    const std::string& dir, const DurableDocumentOptions& options) {
-  obs::TraceSpan span("store.recover");
+    const std::string& dir, const DurableDocumentOptions& options,
+    const JournalFold& fold, Recovered* out) {
   static obs::Counter& replayed_batches =
       obs::MetricsRegistry::Global().GetCounter("store.journal.replayed_batches");
   FaultInjector* fi = options.fault_injector;
   StatusOr<LoadedSnapshot> loaded = LoadLatestSnapshot(dir);
   if (!loaded.ok()) return loaded.status();
   LoadedSnapshot snap = loaded.take();
-  DurableDocument doc(dir, std::move(snap.grammar), options);
+  Grammar base = std::move(snap.grammar);
+  DurableDocument doc(dir, options);
   doc.generation_ = snap.generation;
   doc.recovery_.snapshot_generation = snap.generation;
   doc.recovery_.snapshots_skipped = snap.skipped;
-  doc.base_edges_ = ComputeStats(doc.g_).edge_count;
+  out->batches.clear();
 
-  // Roll the journals forward. Each iteration replays one journal
-  // file; a checkpoint marker at its end means the writer rotated (or
-  // died rotating) — re-run the rotation and continue with the next
-  // generation's journal. The loop ends at the active journal: one
-  // with no checkpoint marker, or none on disk at all.
+  // Roll the journals forward. Each iteration reads one journal file;
+  // a checkpoint marker at its end means the writer sealed it — fold
+  // it into the next snapshot and continue with the next generation's
+  // journal. The loop ends at the active journal: one with no
+  // checkpoint marker, or none on disk at all.
   for (;;) {
     std::string path = doc.JournalPath(doc.generation_);
     StatusOr<JournalReplay> replayed = ReplayJournal(path);
     if (!replayed.ok()) {
       if (replayed.status().code() == StatusCode::kNotFound) {
-        // Crash after the snapshot was published but before its
-        // journal existed: start a fresh one.
+        // The journal's creation never became durable: start a fresh
+        // one (it can hold no committed batch).
         StatusOr<JournalWriter> j =
             JournalWriter::Create(path, options.journal, fi);
         if (!j.ok()) return j.status();
@@ -268,59 +176,60 @@ StatusOr<DurableDocument> DurableDocument::Open(
       return replayed.status();
     }
     JournalReplay replay = replayed.take();
-    for (const std::string& encoded : replay.batches) {
-      Status applied = doc.ReplayEncodedBatch(encoded);
-      if (!applied.ok()) {
+    const int64_t n = static_cast<int64_t>(replay.batches.size());
+    doc.recovery_.batches_replayed += n;
+    replayed_batches.Add(n);
+    if (replay.ends_with_checkpoint) {
+      if (replay.next_generation != doc.generation_ + 1) {
+        return Status::DataLoss("journal " + path +
+                                " is sealed to a non-successor generation");
+      }
+      // Re-run the rotation. The fold is the owner's deterministic
+      // merge, so the snapshot rebuilt here is byte-identical to what
+      // the dead writer did (or would have) put on disk.
+      StatusOr<Grammar> folded = fold(std::move(base), replay.batches);
+      if (!folded.ok()) {
         // A committed, CRC-valid record that cannot be applied means
         // the corruption beat the checksum (or the writer was buggy);
         // there is no later state to fall back to.
         return Status::DataLoss("journal " + path +
-                                " holds an unreplayable committed batch: " +
-                                applied.message());
+                                " does not fold into the next snapshot: " +
+                                folded.status().message());
       }
-      ++doc.recovery_.batches_replayed;
-      replayed_batches.Increment();
-    }
-    if (replay.ends_with_checkpoint) {
-      // Re-run the interrupted rotation. Recompression is a pure
-      // function of (snapshot state, replayed batches), so the
-      // snapshot rebuilt here is byte-identical to what the dead
-      // writer did (or would have) put on disk.
-      doc.RecompressForCheckpoint();
+      base = folded.take();
       doc.generation_ = replay.next_generation;
       ++doc.recovery_.checkpoints_replayed;
-      SLG_RETURN_IF_ERROR(WriteSnapshot(dir, doc.generation_, doc.g_, fi));
+      SLG_RETURN_IF_ERROR(WriteSnapshot(dir, doc.generation_, base, fi));
       doc.recovery_.snapshot_generation = doc.generation_;
       continue;
     }
     // Active journal: cut any torn tail, then reopen for append. A
     // file whose header never made it durable is rebuilt from scratch
     // (it can hold no committed batch).
+    doc.recovery_.journal_tail_truncated |= replay.truncated_tail;
     if (!replay.header_ok) {
       StatusOr<JournalWriter> j =
           JournalWriter::Create(path, options.journal, fi);
       if (!j.ok()) return j.status();
       doc.journal_.emplace(j.take());
-      doc.recovery_.journal_tail_truncated |= replay.truncated_tail;
       break;
     }
     if (replay.truncated_tail) {
       SLG_RETURN_IF_ERROR(TruncateFile(path, replay.valid_bytes, fi));
-      doc.recovery_.journal_tail_truncated = true;
     }
-    StatusOr<JournalWriter> j = JournalWriter::OpenExisting(
-        path, static_cast<int64_t>(replay.batches.size()), options.journal,
-        fi);
+    StatusOr<JournalWriter> j =
+        JournalWriter::OpenExisting(path, n, options.journal, fi);
     if (!j.ok()) return j.status();
     doc.journal_.emplace(j.take());
+    out->batches = std::move(replay.batches);
     break;
   }
 
   SLG_RETURN_IF_ERROR(doc.CleanupOldGenerations());
-  // Every recovery path ends in a full structural validation — a
-  // grammar handed back by Open is one the rest of the library can
-  // trust unconditionally.
-  SLG_RETURN_IF_ERROR(Validate(doc.g_));
+  // Every recovery path ends in a full structural validation — a base
+  // handed back by Open is one the rest of the library can trust.
+  SLG_RETURN_IF_ERROR(Validate(base));
+  out->base = std::move(base);
   return StatusOr<DurableDocument>(std::move(doc));
 }
 

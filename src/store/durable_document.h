@@ -1,71 +1,63 @@
-// Crash-consistent on-disk document: snapshot + write-ahead journal.
+// Crash-consistent on-disk document: a sink that persists a grammar
+// lineage someone else owns.
 //
 // A document directory holds at most two generations of each file:
 //
 //   snapshot-<g>.slg    checksummed SerializeGrammar image (snapshot.h)
-//   journal-<g>.wal     batches applied since snapshot g (journal.h)
+//   journal-<g>.wal     batches committed on top of snapshot g (journal.h)
+//
+// The store keeps no grammar and applies nothing. Its owner (in the
+// library, DocumentService) keeps one invariant: the newest snapshot
+// is its base grammar, and the active journal's committed batches are
+// exactly the batches acknowledged on top of that base.
 //
 // Commit protocol, in order:
-//   1. ApplyBatch / ApplyEncodedBatch applies the *decoded* batch to
-//      the in-memory grammar (so live application interns labels
-//      exactly like replay will), then appends it to journal g and
-//      fsyncs per FsyncPolicy.
-//   2. A checkpoint appends a kCheckpoint marker to journal g and
-//      fsyncs it UNCONDITIONALLY — the fallback chain snapshot g +
-//      journal g must be complete before the rotation starts — then
-//      recompresses, atomically publishes snapshot g+1, creates
-//      journal g+1, and deletes generation g-1.
+//   1. AppendBatch journals one EncodeBatch payload (ops record +
+//      commit marker) and fsyncs per FsyncPolicy.
+//   2. A rotation has two steps. Seal appends a kCheckpoint marker to
+//      journal g and fsyncs it UNCONDITIONALLY — the fallback chain
+//      snapshot g + journal g must be complete before anything of
+//      generation g+1 exists — then opens journal g+1 for the batches
+//      that follow. PublishSnapshot later publishes the owner's merge
+//      of (snapshot g + journal g) as snapshot g+1 and deletes
+//      generation g-1.
 //
 // Recovery (Open) loads the newest valid snapshot (falling back past
-// corrupt ones), replays its journal's committed batches through the
-// very same apply path, and re-runs any rotation the journal's
-// checkpoint marker records — recompression is deterministic, so the
-// rebuilt snapshot is byte-identical to the one the crash interrupted.
-// Torn journal tails are truncated; the recovered grammar is validated
-// on every path.
+// corrupt ones) and rolls the journals forward: a sealed journal is
+// folded into the next snapshot by the owner's merge function (which
+// must be deterministic, so the rebuilt snapshot is byte-identical to
+// the one the crash interrupted), and the active journal's committed
+// batches are handed back for the owner to replay. Torn journal tails
+// are truncated.
 //
-// Failure model: any error on the durability path (journal append,
-// checkpoint, sync) poisons the document — further updates return
+// Failure model: any error on the durability path (append, seal,
+// publish, sync) poisons the document — further calls return
 // FailedPrecondition; reopening the directory recovers the last
 // committed state. With FsyncPolicy::kEveryBatch, a batch whose
-// ApplyBatch returned Ok survives any later crash.
+// AppendBatch returned Ok survives any later crash.
+//
+// Not thread-safe: the owner serializes every call (the FaultInjector
+// is single-threaded too).
 
 #ifndef SLG_STORE_DURABLE_DOCUMENT_H_
 #define SLG_STORE_DURABLE_DOCUMENT_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
-#include <unordered_set>
+#include <string_view>
 #include <vector>
 
-#include "src/api/options.h"
 #include "src/common/status.h"
-#include "src/core/grammar_repair.h"
 #include "src/grammar/grammar.h"
 #include "src/store/fault_injection.h"
 #include "src/store/journal.h"
-#include "src/workload/update_workload.h"
 
 namespace slg {
 
 struct DurableDocumentOptions {
-  DurableDocumentOptions() {
-    // Serving from disk checkpoints adaptively by default: rotate when
-    // the gross edges added since the last checkpoint exceed
-    // update.growth_trigger * (grammar edges at that checkpoint), but
-    // not before update.min_checkpoint_ops operations. <= 0 disables
-    // automatic checkpoints (call Checkpoint() explicitly).
-    update.growth_trigger = 0.5;
-  }
-
   JournalOptions journal;
-
-  // Recompression policy for checkpoints (repair options, localized
-  // vs. full, adaptive trigger) — the same UpdateOptions every other
-  // surface (CompressedXmlTree, DocumentService) takes.
-  UpdateOptions update;
-
   // Borrowed; nullptr (production) injects nothing. The injector is
   // consulted on every file operation the document performs.
   FaultInjector* fault_injector = nullptr;
@@ -73,12 +65,18 @@ struct DurableDocumentOptions {
 
 // What Open had to do to get back to a consistent state.
 struct RecoveryStats {
-  int64_t snapshot_generation = 0;  // generation of the snapshot used
+  int64_t snapshot_generation = 0;  // generation of the snapshot served
   int64_t snapshots_skipped = 0;    // newer snapshots that were corrupt
-  int64_t batches_replayed = 0;
+  int64_t batches_replayed = 0;     // committed batches read back
   int64_t checkpoints_replayed = 0;  // rotations re-run from markers
   bool journal_tail_truncated = false;
 };
+
+// Folds a sealed journal into the snapshot it extends: given snapshot
+// g's grammar and journal g's committed batches, returns the grammar
+// snapshot g+1 holds. Must be the owner's own merge, deterministic.
+using JournalFold = std::function<StatusOr<Grammar>(
+    Grammar base, const std::vector<std::string>& batches)>;
 
 class DurableDocument {
  public:
@@ -86,37 +84,37 @@ class DurableDocument {
   DurableDocument& operator=(DurableDocument&&) = default;
 
   // Initializes `dir` (created if missing) with snapshot generation 1
-  // of `g` and an empty journal. Fails if the grammar is invalid.
+  // of `base` and an empty journal. Fails if the grammar is invalid.
   static StatusOr<DurableDocument> Create(
-      const std::string& dir, Grammar g,
+      const std::string& dir, const Grammar& base,
       const DurableDocumentOptions& options = {});
 
-  // Recovers the document in `dir`: newest valid snapshot + journal
-  // replay + re-run of any interrupted rotation. NotFound if `dir`
-  // holds no snapshot; DataLoss if no generation survives.
-  static StatusOr<DurableDocument> Open(
-      const std::string& dir, const DurableDocumentOptions& options = {});
+  // What Open hands back: the newest snapshot's grammar (after any
+  // re-run rotation) and the active journal's committed batches, in
+  // commit order, still encoded.
+  struct Recovered {
+    Grammar base;
+    std::vector<std::string> batches;
+  };
 
-  // Applies one batch atomically-on-recovery: either the whole batch
-  // is journaled (and survives per the fsync policy) or, after a
-  // crash, none of it is. May rotate per the adaptive trigger.
-  // Every label id reachable from the ops (rename targets, insert
-  // fragment nodes) must be valid in THIS document's label table;
-  // alien ids are rejected with InvalidArgument before anything is
-  // mutated or journaled.
-  Status ApplyBatch(const std::vector<UpdateOp>& ops);
+  // Recovers the document in `dir`: newest valid snapshot, rotations
+  // re-run through `fold`, torn tail cut. NotFound if `dir` holds no
+  // snapshot; DataLoss if no generation survives or a sealed journal
+  // does not fold.
+  static StatusOr<DurableDocument> Open(const std::string& dir,
+                                        const DurableDocumentOptions& options,
+                                        const JournalFold& fold,
+                                        Recovered* out);
 
-  // Same commit protocol, but from a batch already in journal-codec
-  // form (an EncodeBatch payload — label *names*, never ids, so it is
-  // valid against any table). Decodes against this document's own
-  // table (interning unseen names), applies, and journals the same
-  // bytes. This is the write path for callers whose grammar lineage —
-  // and therefore whose LabelIds — diverges from this store's, e.g.
-  // DocumentService after a merge has minted Fresh() labels.
-  Status ApplyEncodedBatch(std::string_view encoded);
+  // Journals one committed batch (an EncodeBatch payload).
+  Status AppendBatch(std::string_view encoded);
 
-  // Forces a checkpoint rotation now.
-  Status Checkpoint();
+  // Rotation step 1: seals journal g and opens journal g+1.
+  Status Seal();
+
+  // Rotation step 2: publishes `merged` — the fold of snapshot g and
+  // the journal the last Seal closed — as snapshot g+1.
+  Status PublishSnapshot(const Grammar& merged);
 
   // Fsyncs the journal (makes batches buffered by kNone/kEveryN
   // durable).
@@ -125,42 +123,20 @@ class DurableDocument {
   // Closes the journal. The document is unusable afterwards.
   Status Close();
 
-  const Grammar& grammar() const { return g_; }
+  // Generation of the active journal (one ahead of the newest
+  // snapshot between Seal and PublishSnapshot).
   int64_t generation() const { return generation_; }
   const RecoveryStats& recovery_stats() const { return recovery_; }
   // True once a durability-path failure was observed; every further
-  // update returns FailedPrecondition. Reopen the directory to
-  // recover.
+  // call returns FailedPrecondition. Reopen the directory to recover.
   bool poisoned() const { return poisoned_; }
-  int64_t batches_applied() const {
-    return journal_ ? journal_->batches_appended() : 0;
-  }
 
  private:
-  DurableDocument(std::string dir, Grammar g,
-                  const DurableDocumentOptions& options)
-      : dir_(std::move(dir)), options_(options), g_(std::move(g)) {}
+  DurableDocument(std::string dir, const DurableDocumentOptions& options)
+      : dir_(std::move(dir)), options_(options) {}
 
   // FailedPrecondition if the document is poisoned or closed.
   Status Writable() const;
-
-  // Rejects any op holding a label id outside this document's table —
-  // rename targets and every node of an insert fragment. EncodeBatch
-  // indexes the table without bounds checks, so this must run first.
-  Status ValidateOpLabels(const std::vector<UpdateOp>& ops) const;
-
-  // Decodes `encoded` against the document's label table and applies
-  // it through a fresh BatchUpdater, harvesting damage — the one apply
-  // path shared by the live side and replay.
-  Status ReplayEncodedBatch(std::string_view encoded);
-
-  // The shared commit tail: apply the decoded payload, append the same
-  // bytes to the journal, maybe rotate per the adaptive trigger. Any
-  // failure poisons the document.
-  Status CommitEncoded(std::string_view encoded);
-
-  // The rotation's recompress step (shared by Checkpoint and replay).
-  void RecompressForCheckpoint();
 
   // Deletes snapshots and journals older than generation-1, plus
   // leftover .tmp files from interrupted atomic writes.
@@ -172,18 +148,11 @@ class DurableDocument {
 
   std::string dir_;
   DurableDocumentOptions options_;
-  Grammar g_;
   std::optional<JournalWriter> journal_;
   int64_t generation_ = 0;
   bool poisoned_ = false;
+  bool sealed_ = false;  // between Seal and PublishSnapshot
   RecoveryStats recovery_;
-
-  // Checkpoint-trigger state since the last rotation.
-  int64_t base_edges_ = 0;
-  int64_t pending_edges_ = 0;
-  int64_t ops_since_checkpoint_ = 0;
-  std::vector<LabelId> pending_damage_;
-  std::unordered_set<LabelId> pending_damage_seen_;
 };
 
 }  // namespace slg

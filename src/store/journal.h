@@ -18,9 +18,9 @@
 // sits, which is what makes recovered grammars byte-identical to the
 // pre-crash ones (see durable_document.h).
 //
-// Batches are encoded self-contained — label NAMES, not table ids —
-// and the document applies the decoded form even on the live path, so
-// live application and replay intern labels in exactly the same order.
+// Batches are encoded self-contained — label NAMES and ranks, not table
+// ids — so a batch replays onto any later base grammar, whose table may
+// number the same names differently (docs/DURABILITY.md, "Determinism").
 
 #ifndef SLG_STORE_JOURNAL_H_
 #define SLG_STORE_JOURNAL_H_

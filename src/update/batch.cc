@@ -5,9 +5,9 @@
 #include <utility>
 
 #include "src/grammar/inliner.h"
+#include "src/grammar/rule_summary.h"
 #include "src/grammar/stats.h"
 #include "src/grammar/value.h"
-#include "src/update/navigation.h"
 #include "src/update/update_ops.h"
 
 namespace slg {
@@ -15,7 +15,7 @@ namespace slg {
 void BatchUpdater::EnsureSnapshot() {
   if (!have_snapshot_) {
     meta_ = RuleMeta::Build(*g_, /*with_sizes=*/true);
-    derived_ = DerivedSubtreeSizes(g_->rhs(g_->start()), meta_);
+    derived_ = ComputeStaticSizes(g_->rhs(g_->start()), meta_);
     have_snapshot_ = true;
   } else if (meta_.num_labels() < g_->labels().size()) {
     meta_.ExtendForNewLabels(*g_);
@@ -69,8 +69,8 @@ StatusOr<NodeId> BatchUpdater::Isolate(int64_t preorder) {
                               std::to_string(derived_of(t.root())));
   }
 
-  // Same descent as IsolateNode (path_isolation.cc), against the
-  // batch-shared snapshot and size table instead of per-call rebuilds.
+  // Path isolation (paper §III-A) against the batch-shared snapshot
+  // and size table: inline only the calls on the root-to-target spine.
   NodeId v = t.root();
   int64_t k = preorder;  // target is the k-th node of v's derived subtree
   for (;;) {
@@ -219,8 +219,30 @@ Status BatchUpdater::Delete(int64_t preorder) {
 
 Status BatchUpdater::Apply(const UpdateOp& op) {
   switch (op.kind) {
-    case UpdateOp::Kind::kInsert:
+    case UpdateOp::Kind::kInsert: {
+      // Fragment labels are caller-supplied too. Check them before
+      // anything is isolated: sizing the copy indexes the snapshot by
+      // label, and the journal codec writes each node's table rank, so
+      // a node whose child count disagrees with it would not replay.
+      const LabelTable& labels = g_->labels();
+      Status bad = Status::Ok();
+      op.fragment.VisitPreorder(op.fragment.root(), [&](NodeId v) {
+        LabelId l = op.fragment.label(v);
+        if (!bad.ok()) return;
+        if (l < 0 || l >= static_cast<LabelId>(labels.size())) {
+          bad = Status::InvalidArgument(
+              "insert fragment label id " + std::to_string(l) +
+              " is not in the grammar's label table");
+        } else if (labels.Rank(l) != op.fragment.NumChildren(v)) {
+          bad = Status::InvalidArgument(
+              "insert fragment node '" + labels.Name(l) + "' has " +
+              std::to_string(op.fragment.NumChildren(v)) +
+              " children but rank " + std::to_string(labels.Rank(l)));
+        }
+      });
+      if (!bad.ok()) return bad;
       return InsertBefore(op.preorder, op.fragment);
+    }
     case UpdateOp::Kind::kDelete:
       return Delete(op.preorder);
     case UpdateOp::Kind::kRename:
@@ -246,6 +268,22 @@ int BatchUpdater::Finish() {
   derived_.clear();
   derived_.shrink_to_fit();
   return CollectGarbageRules(g_);
+}
+
+StatusOr<BatchEffect> ApplyOps(Grammar* g, const std::vector<UpdateOp>& ops) {
+  BatchUpdater bu(g);
+  for (const UpdateOp& op : ops) SLG_RETURN_IF_ERROR(bu.Apply(op));
+  bu.Finish();
+  return BatchEffect{bu.DamagedRules(), bu.EdgesAdded(),
+                     static_cast<int64_t>(ops.size())};
+}
+
+GrammarRepairResult RecompressDamaged(Grammar g,
+                                      const std::vector<LabelId>& damage,
+                                      const UpdateOptions& options) {
+  return options.localized && !damage.empty()
+             ? LocalizedGrammarRePair(std::move(g), damage, options.repair)
+             : GrammarRePair(std::move(g), options.repair);
 }
 
 StatusOr<BatchResult> ApplyWorkloadBatched(Grammar g,

@@ -31,6 +31,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/api/options.h"
 #include "src/common/status.h"
 #include "src/core/grammar_repair.h"
 #include "src/grammar/grammar.h"
@@ -117,6 +118,27 @@ class BatchUpdater {
   std::unordered_set<LabelId> damage_seen_;
   int64_t edges_added_ = 0;
 };
+
+// What one applied batch did to its grammar: the damage set that seeds
+// the next localized repair, and the gross edges and op count the
+// merge trigger weighs.
+struct BatchEffect {
+  std::vector<LabelId> damage;
+  int64_t edges_added = 0;
+  int64_t ops = 0;
+};
+
+// Applies `ops` as one batch (one BatchUpdater, finished). On error
+// *g may be half-updated: callers that need atomicity apply to a
+// clone and drop it.
+StatusOr<BatchEffect> ApplyOps(Grammar* g, const std::vector<UpdateOp>& ops);
+
+// The merge step of every serving surface: LocalizedGrammarRePair
+// seeded with `damage` when options.localized (and there is damage),
+// the full GrammarRePair otherwise.
+GrammarRepairResult RecompressDamaged(Grammar g,
+                                      const std::vector<LabelId>& damage,
+                                      const UpdateOptions& options);
 
 struct BatchApplyOptions {
   // Recompress at checkpoints (and once at the end of the workload).

@@ -4,7 +4,6 @@
 
 #include "src/grammar/orders.h"
 #include "src/update/batch.h"
-#include "src/update/path_isolation.h"
 
 namespace slg {
 
@@ -109,7 +108,7 @@ void ApplyRenameToTree(Tree* t, int64_t preorder, LabelId label) {
 }
 
 StatusOr<std::string> ReadLabel(Grammar* g, int64_t preorder) {
-  StatusOr<NodeId> u = IsolateNode(g, preorder);
+  StatusOr<NodeId> u = BatchUpdater(g).Isolate(preorder);
   if (!u.ok()) return u.status();
   return g->labels().Name(g->rhs(g->start()).label(u.value()));
 }

@@ -19,7 +19,6 @@
 #include "src/grammar/rule_meta.h"
 #include "src/grammar/text_format.h"
 #include "src/grammar/value.h"
-#include "src/update/navigation.h"
 #include "src/xml/binary_encoding.h"
 #include "tests/exponential_grammars.h"
 
@@ -73,7 +72,7 @@ void CheckSummary(const Grammar& g) {
   // Per-node static sizes agree with the update path's sizing pass
   // (one shared implementation, pinned here).
   g.ForEachRule([&](LabelId lhs, const Tree& t) {
-    std::vector<int64_t> ref = DerivedSubtreeSizes(t, meta);
+    std::vector<int64_t> ref = ComputeStaticSizes(t, meta);
     for (NodeId v : t.Preorder()) {
       EXPECT_EQ(sum.StaticSize(lhs, v), ref[static_cast<size_t>(v)]);
     }

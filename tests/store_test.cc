@@ -1,7 +1,13 @@
-// Crash-consistency proof obligations for the durable document store:
+// Crash-consistency proof obligations for the durable document store.
+//
+// The store is a sink: it persists a grammar lineage its owner keeps.
+// These tests drive it the way DocumentService does — one lineage,
+// single-threaded, through the library's shared transitions (ApplyOps
+// for live batches, ReplayBatch + FoldJournal for recovery,
+// RecompressDamaged for merges):
 //
 //  * crash matrix — a fault-free recording pass counts every
-//    injectable I/O operation of a Create + batches + checkpoint +
+//    injectable I/O operation of a Create + batches + checkpoints +
 //    close scenario; then, for every operation index and three crash
 //    flavors (clean crash, torn+bit-flipped write, power loss dropping
 //    unsynced bytes), the scenario is crashed there, reopened, and the
@@ -19,10 +25,10 @@
 //    corpora.
 //
 // The committed-prefix chain is computed by a test-local mirror that
-// replays the same decode-apply-recompress pipeline the document and
-// its recovery share; the reference run asserts live == mirror at
-// every step, which independently pins the decode-then-apply
-// determinism the recovery guarantee rests on.
+// applies each batch's *decoded* journal payload, where the lineage
+// applies the caller's ops; the reference run asserts live == mirror
+// at every step, which pins the live-apply == replay determinism the
+// recovery guarantee rests on.
 
 #include "src/store/durable_document.h"
 
@@ -42,7 +48,9 @@
 #include "src/core/grammar_repair.h"
 #include "src/datasets/generators.h"
 #include "src/grammar/binary_format.h"
+#include "src/grammar/stats.h"
 #include "src/grammar/validate.h"
+#include "src/service/document_service.h"
 #include "src/store/crc32c.h"
 #include "src/store/io.h"
 #include "src/store/journal.h"
@@ -94,6 +102,124 @@ std::string ReadRaw(const std::string& path) {
 }
 
 // --------------------------------------------------------------------
+// Lineage: one grammar lineage with the store as its sink — the
+// service's write engine without the threads. Batches apply to a
+// clone (ApplyOps), journal their EncodeBatch payload, and count
+// toward the same adaptive trigger the service uses; a checkpoint
+// seals the journal, merges (RecompressDamaged) and publishes the
+// merged grammar as the next snapshot.
+
+struct LineageOptions {
+  DurableDocumentOptions store;
+  UpdateOptions update;
+};
+
+LineageOptions StoreOpts(FaultInjector* fi = nullptr) {
+  LineageOptions opts;
+  opts.update.growth_trigger = 0.3;
+  opts.update.min_checkpoint_ops = 4;
+  opts.store.fault_injector = fi;
+  return opts;
+}
+
+void AddDamage(const BatchEffect& e, std::vector<LabelId>* damage,
+               std::unordered_set<LabelId>* seen) {
+  for (LabelId r : e.damage) {
+    if (seen->insert(r).second) damage->push_back(r);
+  }
+}
+
+class Lineage {
+ public:
+  static StatusOr<Lineage> Create(const std::string& dir,
+                                  const Grammar& start,
+                                  const LineageOptions& opts) {
+    StatusOr<DurableDocument> doc =
+        DurableDocument::Create(dir, start, opts.store);
+    if (!doc.ok()) return doc.status();
+    return Lineage(doc.take(), start.Clone(), opts);
+  }
+
+  // Recovery as DocumentService::Open does it: the store folds sealed
+  // journals with FoldJournal, the active journal's batches replay
+  // onto the base with ReplayBatch.
+  static StatusOr<Lineage> Open(const std::string& dir,
+                                const LineageOptions& opts) {
+    DurableDocument::Recovered rec;
+    StatusOr<DurableDocument> doc = DurableDocument::Open(
+        dir, opts.store,
+        [&opts](Grammar base, const std::vector<std::string>& batches) {
+          return FoldJournal(std::move(base), batches, opts.update);
+        },
+        &rec);
+    if (!doc.ok()) return doc.status();
+    Lineage d(doc.take(), std::move(rec.base), opts);
+    for (const std::string& encoded : rec.batches) {
+      StatusOr<BatchEffect> e = ReplayBatch(&d.g_, encoded);
+      if (!e.ok()) return Status::DataLoss(e.status().message());
+      d.Note(e.value());
+    }
+    return d;
+  }
+
+  Status Apply(const std::vector<UpdateOp>& ops) {
+    Grammar next = g_.Clone();
+    StatusOr<BatchEffect> e = ApplyOps(&next, ops);
+    if (!e.ok()) return e.status();
+    SLG_RETURN_IF_ERROR(doc_.AppendBatch(EncodeBatch(ops, next.labels())));
+    g_ = std::move(next);
+    Note(e.value());
+    if (opts_.update.growth_trigger > 0 &&
+        overlay_ops_ >= opts_.update.min_checkpoint_ops &&
+        static_cast<double>(overlay_edges_) >
+            opts_.update.growth_trigger * static_cast<double>(base_edges_)) {
+      return Checkpoint();
+    }
+    return Status::Ok();
+  }
+
+  Status Checkpoint() {
+    SLG_RETURN_IF_ERROR(doc_.Seal());
+    g_ = RecompressDamaged(std::move(g_), damage_, opts_.update).grammar;
+    ResetOverlay();
+    return doc_.PublishSnapshot(g_);
+  }
+
+  const Grammar& grammar() const { return g_; }
+  DurableDocument& doc() { return doc_; }
+  Status Close() { return doc_.Close(); }
+
+ private:
+  Lineage(DurableDocument doc, Grammar g, const LineageOptions& opts)
+      : doc_(std::move(doc)), g_(std::move(g)), opts_(opts) {
+    ResetOverlay();
+  }
+
+  void Note(const BatchEffect& e) {
+    AddDamage(e, &damage_, &seen_);
+    overlay_edges_ += e.edges_added;
+    overlay_ops_ += e.ops;
+  }
+
+  void ResetOverlay() {
+    damage_.clear();
+    seen_.clear();
+    overlay_edges_ = 0;
+    overlay_ops_ = 0;
+    base_edges_ = ComputeStats(g_).edge_count;
+  }
+
+  DurableDocument doc_;
+  Grammar g_;
+  LineageOptions opts_;
+  std::vector<LabelId> damage_;
+  std::unordered_set<LabelId> seen_;
+  int64_t base_edges_ = 0;
+  int64_t overlay_edges_ = 0;
+  int64_t overlay_ops_ = 0;
+};
+
+// --------------------------------------------------------------------
 // Scenario: a starting grammar plus a batched workload with one
 // explicit checkpoint, shared by the crash-matrix and policy tests.
 
@@ -128,47 +254,38 @@ void MakeScenario(Corpus corpus, double scale, int num_ops, int batch_size,
   sc->checkpoint_after = static_cast<int>(sc->batches.size()) / 2;
 }
 
-DurableDocumentOptions StoreOpts(FaultInjector* fi = nullptr) {
-  DurableDocumentOptions opts;
-  opts.update.growth_trigger = 0.3;
-  opts.update.min_checkpoint_ops = 4;
-  opts.fault_injector = fi;
-  return opts;
-}
-
 struct RunOutcome {
   bool create_ok = false;
-  int acked = 0;  // steps (ApplyBatch / Checkpoint) that returned Ok
+  int acked = 0;  // steps (Apply / Checkpoint) that returned Ok
 };
 
 RunOutcome RunScenario(const std::string& dir, const Scenario& sc,
-                       const DurableDocumentOptions& opts) {
+                       const LineageOptions& opts) {
   RunOutcome out;
-  StatusOr<DurableDocument> created =
-      DurableDocument::Create(dir, sc.start.Clone(), opts);
+  StatusOr<Lineage> created = Lineage::Create(dir, sc.start, opts);
   if (!created.ok()) return out;
   out.create_ok = true;
-  DurableDocument doc = created.take();
+  Lineage d = created.take();
   for (size_t i = 0; i < sc.batches.size(); ++i) {
-    if (!doc.ApplyBatch(sc.batches[i]).ok()) return out;
+    if (!d.Apply(sc.batches[i]).ok()) return out;
     ++out.acked;
     if (static_cast<int>(i) == sc.checkpoint_after) {
-      if (!doc.Checkpoint().ok()) return out;
+      if (!d.Checkpoint().ok()) return out;
       ++out.acked;
     }
   }
-  doc.Close();
+  d.Close();
   return out;
 }
 
 // --------------------------------------------------------------------
-// Mirror: the decode-apply-recompress pipeline the document and its
-// recovery share, reimplemented from the same public pieces, used to
-// enumerate every committed-prefix state a crash may recover to.
+// Mirror: replays each batch's journal payload (ReplayBatch) and
+// rotates with the same merge step, used to enumerate every
+// committed-prefix state a crash may recover to.
 
 class MirrorDoc {
  public:
-  MirrorDoc(Grammar g, const DurableDocumentOptions& opts)
+  MirrorDoc(Grammar g, const LineageOptions& opts)
       : g_(std::move(g)), opts_(opts) {}
 
   std::string Encode(const std::vector<UpdateOp>& ops) {
@@ -176,23 +293,14 @@ class MirrorDoc {
   }
 
   Status ApplyEncoded(const std::string& encoded) {
-    std::vector<UpdateOp> ops;
-    SLG_RETURN_IF_ERROR(DecodeBatch(encoded, &g_.labels(), &ops));
-    BatchUpdater batch(&g_);
-    for (const UpdateOp& op : ops) SLG_RETURN_IF_ERROR(batch.Apply(op));
-    batch.Finish();
-    for (LabelId rule : batch.DamagedRules()) {
-      if (seen_.insert(rule).second) damage_.push_back(rule);
-    }
+    StatusOr<BatchEffect> e = ReplayBatch(&g_, encoded);
+    if (!e.ok()) return e.status();
+    AddDamage(e.value(), &damage_, &seen_);
     return Status::Ok();
   }
 
   void Rotate() {
-    GrammarRepairResult r =
-        (opts_.update.localized && !damage_.empty())
-            ? LocalizedGrammarRePair(std::move(g_), damage_, opts_.update.repair)
-            : GrammarRePair(std::move(g_), opts_.update.repair);
-    g_ = std::move(r.grammar);
+    g_ = RecompressDamaged(std::move(g_), damage_, opts_.update).grammar;
     damage_.clear();
     seen_.clear();
   }
@@ -201,7 +309,7 @@ class MirrorDoc {
 
  private:
   Grammar g_;
-  DurableDocumentOptions opts_;
+  LineageOptions opts_;
   std::vector<LabelId> damage_;
   std::unordered_set<LabelId> seen_;
 };
@@ -217,25 +325,24 @@ struct Reference {
 
 void BuildReference(const Scenario& sc, Reference* ref) {
   std::string dir = NewDir("ref");
-  DurableDocumentOptions opts = StoreOpts();
-  StatusOr<DurableDocument> created =
-      DurableDocument::Create(dir, sc.start.Clone(), opts);
+  LineageOptions opts = StoreOpts();
+  StatusOr<Lineage> created = Lineage::Create(dir, sc.start, opts);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
-  DurableDocument doc = created.take();
+  Lineage d = created.take();
   MirrorDoc mirror(sc.start.Clone(), opts);
-  ref->chain.push_back(SerializeGrammar(doc.grammar()));
+  ref->chain.push_back(SerializeGrammar(d.grammar()));
   ASSERT_EQ(ref->chain.back(), mirror.Bytes());
   ref->pos_after_step.push_back(0);
-  int64_t gen = doc.generation();
+  int64_t gen = d.doc().generation();
   int rotations = 0;
   for (size_t i = 0; i < sc.batches.size(); ++i) {
     std::string encoded = mirror.Encode(sc.batches[i]);
-    Status applied = doc.ApplyBatch(sc.batches[i]);
+    Status applied = d.Apply(sc.batches[i]);
     ASSERT_TRUE(applied.ok()) << applied.ToString();
     ASSERT_TRUE(mirror.ApplyEncoded(encoded).ok());
     ref->chain.push_back(mirror.Bytes());
-    if (doc.generation() != gen) {
-      gen = doc.generation();
+    if (d.doc().generation() != gen) {
+      gen = d.doc().generation();
       mirror.Rotate();
       ref->chain.push_back(mirror.Bytes());
       ++rotations;
@@ -243,23 +350,23 @@ void BuildReference(const Scenario& sc, Reference* ref) {
     // The load-bearing assertion: the live grammar is byte-identical
     // to the mirror's replay of its own journal encoding, at every
     // step — this is exactly why recovery reproduces live states.
-    ASSERT_EQ(SerializeGrammar(doc.grammar()), ref->chain.back())
+    ASSERT_EQ(SerializeGrammar(d.grammar()), ref->chain.back())
         << "live and mirrored state diverge after batch " << i;
     ref->pos_after_step.push_back(static_cast<int>(ref->chain.size()) - 1);
     if (static_cast<int>(i) == sc.checkpoint_after) {
-      Status cp = doc.Checkpoint();
+      Status cp = d.Checkpoint();
       ASSERT_TRUE(cp.ok()) << cp.ToString();
-      gen = doc.generation();
+      gen = d.doc().generation();
       mirror.Rotate();
       ref->chain.push_back(mirror.Bytes());
       ++rotations;
-      ASSERT_EQ(SerializeGrammar(doc.grammar()), ref->chain.back());
+      ASSERT_EQ(SerializeGrammar(d.grammar()), ref->chain.back());
       ref->pos_after_step.push_back(static_cast<int>(ref->chain.size()) - 1);
     }
   }
   EXPECT_GE(rotations, 2) << "scenario too tame: the adaptive trigger "
                              "never fired on top of the explicit checkpoint";
-  EXPECT_TRUE(doc.Close().ok());
+  EXPECT_TRUE(d.Close().ok());
   RemoveTree(dir);
 }
 
@@ -320,8 +427,7 @@ TEST(DurableDocumentCrashMatrix, EveryCrashPointRecoversCommittedPrefix) {
       const std::string context =
           std::string(mode.name) + " at op " + std::to_string(k);
 
-      StatusOr<DurableDocument> opened =
-          DurableDocument::Open(dir, StoreOpts());
+      StatusOr<Lineage> opened = Lineage::Open(dir, StoreOpts());
       if (!r.create_ok) {
         // Create died before acknowledging: either nothing durable
         // exists yet, or the empty generation-1 document survives.
@@ -336,20 +442,20 @@ TEST(DurableDocumentCrashMatrix, EveryCrashPointRecoversCommittedPrefix) {
       }
       ASSERT_TRUE(opened.ok())
           << context << ": " << opened.status().ToString();
-      DurableDocument doc = opened.take();
-      Status valid = Validate(doc.grammar());
+      Lineage d = opened.take();
+      Status valid = Validate(d.grammar());
       EXPECT_TRUE(valid.ok()) << context << ": " << valid.ToString();
       const int lo = ref.pos_after_step[static_cast<size_t>(r.acked)];
       const int hi =
           ref.pos_after_step[static_cast<size_t>(std::min(r.acked + 1, S))];
-      ExpectCommittedPrefix(ref, SerializeGrammar(doc.grammar()), lo, hi,
+      ExpectCommittedPrefix(ref, SerializeGrammar(d.grammar()), lo, hi,
                             context);
       // Subsample: the recovered document must be fully usable.
       if (k % 7 == 0) {
-        Status usable = doc.Checkpoint();
+        Status usable = d.Checkpoint();
         EXPECT_TRUE(usable.ok()) << context << ": " << usable.ToString();
       }
-      EXPECT_TRUE(doc.Close().ok()) << context;
+      EXPECT_TRUE(d.Close().ok()) << context;
       RemoveTree(dir);
     }
   }
@@ -376,14 +482,14 @@ TEST(DurableDocumentFsyncPolicy, AllPoliciesRecoverCommittedPrefixes) {
       {"every-3", FsyncPolicy::kEveryN, 3},
   };
   for (const Policy& p : kPolicies) {
-    DurableDocumentOptions base = StoreOpts();
-    base.journal.policy = p.policy;
-    if (p.every_n > 0) base.journal.every_n = p.every_n;
+    LineageOptions base = StoreOpts();
+    base.store.journal.policy = p.policy;
+    if (p.every_n > 0) base.store.journal.every_n = p.every_n;
 
     FaultInjector counter;
     {
-      DurableDocumentOptions opts = base;
-      opts.fault_injector = &counter;
+      LineageOptions opts = base;
+      opts.store.fault_injector = &counter;
       std::string dir = NewDir("pcount");
       RunOutcome r = RunScenario(dir, sc, opts);
       ASSERT_TRUE(r.create_ok && r.acked == S) << p.name;
@@ -394,15 +500,14 @@ TEST(DurableDocumentFsyncPolicy, AllPoliciesRecoverCommittedPrefixes) {
       plan.crash_at = k;
       plan.drop_unsynced = true;  // the model where policies differ
       FaultInjector fi(plan);
-      DurableDocumentOptions opts = base;
-      opts.fault_injector = &fi;
+      LineageOptions opts = base;
+      opts.store.fault_injector = &fi;
       std::string dir = NewDir("policy");
       RunOutcome r = RunScenario(dir, sc, opts);
       const std::string context =
           std::string("policy ") + p.name + " powerloss at op " +
           std::to_string(k);
-      StatusOr<DurableDocument> opened =
-          DurableDocument::Open(dir, StoreOpts());
+      StatusOr<Lineage> opened = Lineage::Open(dir, StoreOpts());
       if (!r.create_ok) {
         if (opened.ok()) {
           EXPECT_EQ(SerializeGrammar(opened.value().grammar()), ref.chain[0])
@@ -437,19 +542,18 @@ TEST(DurableDocumentCorruptionSweep, OpenNeverCrashesOnMangledFiles) {
   MakeScenario(Corpus::kExiTelecomp, 0.015, 12, 3, 31, &sc);
   std::string dir = NewDir("sweep");
   {
-    DurableDocumentOptions opts = StoreOpts();
+    LineageOptions opts = StoreOpts();
     opts.update.growth_trigger = 0;  // rotate only at the explicit checkpoint
-    StatusOr<DurableDocument> created =
-        DurableDocument::Create(dir, sc.start.Clone(), opts);
+    StatusOr<Lineage> created = Lineage::Create(dir, sc.start, opts);
     ASSERT_TRUE(created.ok());
-    DurableDocument doc = created.take();
+    Lineage d = created.take();
     for (size_t i = 0; i < sc.batches.size(); ++i) {
-      ASSERT_TRUE(doc.ApplyBatch(sc.batches[i]).ok());
+      ASSERT_TRUE(d.Apply(sc.batches[i]).ok());
       if (static_cast<int>(i) == sc.checkpoint_after) {
-        ASSERT_TRUE(doc.Checkpoint().ok());
+        ASSERT_TRUE(d.Checkpoint().ok());
       }
     }
-    ASSERT_TRUE(doc.Close().ok());
+    ASSERT_TRUE(d.Close().ok());
   }
   std::map<std::string, std::string> pristine;
   StatusOr<std::vector<std::string>> listing = ListDir(dir);
@@ -469,8 +573,7 @@ TEST(DurableDocumentCorruptionSweep, OpenNeverCrashesOnMangledFiles) {
     }
   };
   auto check_open = [&](const std::string& context) {
-    StatusOr<DurableDocument> opened =
-        DurableDocument::Open(dir, StoreOpts());
+    StatusOr<Lineage> opened = Lineage::Open(dir, StoreOpts());
     if (opened.ok()) {
       Status valid = Validate(opened.value().grammar());
       EXPECT_TRUE(valid.ok()) << context << ": " << valid.ToString();
@@ -512,11 +615,10 @@ TEST(DurableDocumentReopen, ReopenMidWorkloadIsByteIdenticalToContinuous) {
     sc.checkpoint_after = -1;  // adaptive rotations only
 
     std::string dir_a = NewDir("cont");
-    StatusOr<DurableDocument> a =
-        DurableDocument::Create(dir_a, sc.start.Clone(), StoreOpts());
+    StatusOr<Lineage> a = Lineage::Create(dir_a, sc.start, StoreOpts());
     ASSERT_TRUE(a.ok()) << info.name;
     for (const auto& batch : sc.batches) {
-      ASSERT_TRUE(a.value().ApplyBatch(batch).ok()) << info.name;
+      ASSERT_TRUE(a.value().Apply(batch).ok()) << info.name;
     }
     std::string continuous = SerializeGrammar(a.value().grammar());
     ASSERT_TRUE(a.value().Close().ok());
@@ -524,21 +626,20 @@ TEST(DurableDocumentReopen, ReopenMidWorkloadIsByteIdenticalToContinuous) {
     std::string dir_b = NewDir("split");
     const size_t half = sc.batches.size() / 2;
     {
-      StatusOr<DurableDocument> b =
-          DurableDocument::Create(dir_b, sc.start.Clone(), StoreOpts());
+      StatusOr<Lineage> b = Lineage::Create(dir_b, sc.start, StoreOpts());
       ASSERT_TRUE(b.ok()) << info.name;
       for (size_t i = 0; i < half; ++i) {
-        ASSERT_TRUE(b.value().ApplyBatch(sc.batches[i]).ok()) << info.name;
+        ASSERT_TRUE(b.value().Apply(sc.batches[i]).ok()) << info.name;
       }
       ASSERT_TRUE(b.value().Close().ok());
     }
-    StatusOr<DurableDocument> b = DurableDocument::Open(dir_b, StoreOpts());
+    StatusOr<Lineage> b = Lineage::Open(dir_b, StoreOpts());
     ASSERT_TRUE(b.ok()) << info.name << ": " << b.status().ToString();
-    EXPECT_LE(b.value().recovery_stats().batches_replayed,
+    EXPECT_LE(b.value().doc().recovery_stats().batches_replayed,
               static_cast<int64_t>(half))
         << info.name;
     for (size_t i = half; i < sc.batches.size(); ++i) {
-      ASSERT_TRUE(b.value().ApplyBatch(sc.batches[i]).ok()) << info.name;
+      ASSERT_TRUE(b.value().Apply(sc.batches[i]).ok()) << info.name;
     }
     EXPECT_EQ(SerializeGrammar(b.value().grammar()), continuous)
         << "reopen diverges from the continuous run on " << info.name;
@@ -557,19 +658,18 @@ TEST(DurableDocumentFallback, CorruptNewestSnapshotFallsBackAndHeals) {
   std::string dir = NewDir("fallback");
   std::string final_bytes;
   {
-    DurableDocumentOptions opts = StoreOpts();
+    LineageOptions opts = StoreOpts();
     opts.update.growth_trigger = 0;
-    StatusOr<DurableDocument> created =
-        DurableDocument::Create(dir, sc.start.Clone(), opts);
+    StatusOr<Lineage> created = Lineage::Create(dir, sc.start, opts);
     ASSERT_TRUE(created.ok());
-    DurableDocument doc = created.take();
-    ASSERT_TRUE(doc.ApplyBatch(sc.batches[0]).ok());
-    ASSERT_TRUE(doc.ApplyBatch(sc.batches[1]).ok());
-    ASSERT_TRUE(doc.Checkpoint().ok());
-    ASSERT_TRUE(doc.ApplyBatch(sc.batches[2]).ok());
-    ASSERT_EQ(doc.generation(), 2);
-    final_bytes = SerializeGrammar(doc.grammar());
-    ASSERT_TRUE(doc.Close().ok());
+    Lineage d = created.take();
+    ASSERT_TRUE(d.Apply(sc.batches[0]).ok());
+    ASSERT_TRUE(d.Apply(sc.batches[1]).ok());
+    ASSERT_TRUE(d.Checkpoint().ok());
+    ASSERT_TRUE(d.Apply(sc.batches[2]).ok());
+    ASSERT_EQ(d.doc().generation(), 2);
+    final_bytes = SerializeGrammar(d.grammar());
+    ASSERT_TRUE(d.Close().ok());
   }
   // Mangle the newest snapshot; recovery must fall back to snapshot 1,
   // re-run the rotation recorded in journal 1, and land byte-identical
@@ -579,9 +679,9 @@ TEST(DurableDocumentFallback, CorruptNewestSnapshotFallsBackAndHeals) {
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0xff);
   WriteRaw(snap2, bytes);
 
-  StatusOr<DurableDocument> opened = DurableDocument::Open(dir, StoreOpts());
+  StatusOr<Lineage> opened = Lineage::Open(dir, StoreOpts());
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  const RecoveryStats& stats = opened.value().recovery_stats();
+  const RecoveryStats& stats = opened.value().doc().recovery_stats();
   EXPECT_EQ(stats.snapshots_skipped, 1);
   EXPECT_GE(stats.checkpoints_replayed, 1);
   EXPECT_EQ(SerializeGrammar(opened.value().grammar()), final_bytes);
@@ -593,76 +693,67 @@ TEST(DurableDocumentFallback, CorruptNewestSnapshotFallsBackAndHeals) {
 }
 
 // --------------------------------------------------------------------
-// Label-lineage hygiene: ids from another document's table must be
-// rejected cleanly (never indexed), and the encoded name-based entry
-// point must carry batches across diverged lineages.
+// Rotation misuse: the store refuses a snapshot no seal asked for, and
+// a second seal before the first one's snapshot.
 
-TEST(DurableDocumentApply, AlienLabelIdsAreRejectedNotIndexed) {
+TEST(DurableDocumentRotation, PublishRequiresExactlyOneSeal) {
   Scenario sc;
   MakeScenario(Corpus::kExiWeblog, 0.01, 4, 2, 91, &sc);
-  std::string dir = NewDir("alien");
+  std::string dir = NewDir("rotation");
   StatusOr<DurableDocument> created =
-      DurableDocument::Create(dir, sc.start.Clone(), StoreOpts());
+      DurableDocument::Create(dir, sc.start, StoreOpts().store);
   ASSERT_TRUE(created.ok());
   DurableDocument doc = created.take();
-  const std::string before = SerializeGrammar(doc.grammar());
-  // One past the table: exactly the id a caller that interned a new
-  // tag into its own lineage first would hand us.
-  const LabelId alien = doc.grammar().labels().size();
-
-  std::vector<UpdateOp> rename(1);
-  rename[0].kind = UpdateOp::Kind::kRename;
-  rename[0].preorder = 1;
-  rename[0].label = alien;
-  EXPECT_EQ(doc.ApplyBatch(rename).code(), StatusCode::kInvalidArgument);
-
-  std::vector<UpdateOp> insert(1);
-  insert[0].kind = UpdateOp::Kind::kInsert;
-  insert[0].preorder = 2;
-  insert[0].fragment.SetRoot(insert[0].fragment.NewNode(alien));
-  EXPECT_EQ(doc.ApplyBatch(insert).code(), StatusCode::kInvalidArgument);
-
-  // Clean rejection: nothing mutated, journaled, or poisoned.
+  EXPECT_EQ(doc.PublishSnapshot(sc.start).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(doc.Seal().ok());
+  EXPECT_EQ(doc.Seal().code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(doc.PublishSnapshot(sc.start).ok());
+  EXPECT_EQ(doc.generation(), 2);
   EXPECT_FALSE(doc.poisoned());
-  EXPECT_EQ(SerializeGrammar(doc.grammar()), before);
-  ASSERT_TRUE(doc.ApplyBatch(sc.batches[0]).ok());
   ASSERT_TRUE(doc.Close().ok());
   RemoveTree(dir);
 }
 
-TEST(DurableDocumentApply, EncodedBatchCrossesLabelTableLineages) {
+// --------------------------------------------------------------------
+// Label-lineage hygiene: the name-based payload carries batches onto a
+// base whose table numbers labels differently — how the splice and
+// recovery replay batches acknowledged against an older base.
+
+TEST(DurableDocumentReplay, EncodedBatchCrossesLabelTableLineages) {
   Scenario sc;
   MakeScenario(Corpus::kExiWeblog, 0.01, 4, 2, 93, &sc);
   std::string dir = NewDir("lineage");
-  DurableDocumentOptions opts = StoreOpts();
-  opts.update.growth_trigger = 0;
   StatusOr<DurableDocument> created =
-      DurableDocument::Create(dir, sc.start.Clone(), opts);
+      DurableDocument::Create(dir, sc.start, StoreOpts().store);
   ASSERT_TRUE(created.ok());
   DurableDocument doc = created.take();
 
   // A writer lineage that interned extra labels first: "fresh_tag" is
-  // absent from the store's table and every foreign id after the
-  // padding disagrees with the store's numbering — only the name-based
+  // absent from the base's table and every foreign id after the
+  // padding disagrees with the base's numbering — only the name-based
   // payload can cross.
-  LabelTable foreign = doc.grammar().labels();
+  LabelTable foreign = sc.start.labels();
   foreign.Intern("lineage_padding", 2);
   std::vector<UpdateOp> rename(1);
   rename[0].kind = UpdateOp::Kind::kRename;
   rename[0].preorder = 1;
   rename[0].label = foreign.Intern("fresh_tag", 2);
+  const std::string encoded = EncodeBatch(rename, foreign);
 
-  ASSERT_TRUE(doc.ApplyEncodedBatch(EncodeBatch(rename, foreign)).ok());
-  EXPECT_NE(doc.grammar().labels().Find("fresh_tag"), kNoLabel);
+  Grammar live = sc.start.Clone();
+  ASSERT_TRUE(ReplayBatch(&live, encoded).ok());
+  EXPECT_NE(live.labels().Find("fresh_tag"), kNoLabel);
   // Only names the ops actually carry travel across.
-  EXPECT_EQ(doc.grammar().labels().Find("lineage_padding"), kNoLabel);
-
-  const std::string live = SerializeGrammar(doc.grammar());
+  EXPECT_EQ(live.labels().Find("lineage_padding"), kNoLabel);
+  ASSERT_TRUE(doc.AppendBatch(encoded).ok());
   ASSERT_TRUE(doc.Close().ok());
-  StatusOr<DurableDocument> opened = DurableDocument::Open(dir, opts);
+
+  StatusOr<Lineage> opened = Lineage::Open(dir, StoreOpts());
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_EQ(opened.value().recovery_stats().batches_replayed, 1);
-  EXPECT_EQ(SerializeGrammar(opened.value().grammar()), live);
+  EXPECT_EQ(opened.value().doc().recovery_stats().batches_replayed, 1);
+  EXPECT_EQ(SerializeGrammar(opened.value().grammar()),
+            SerializeGrammar(live));
   ASSERT_TRUE(opened.value().Close().ok());
   RemoveTree(dir);
 }
@@ -678,9 +769,8 @@ TEST(DurableDocumentPoison, IoFailurePoisonsHandleAndReopenRecovers) {
   FaultInjector counter;
   std::string probe = NewDir("poisonprobe");
   {
-    DurableDocumentOptions opts = StoreOpts(&counter);
-    StatusOr<DurableDocument> d =
-        DurableDocument::Create(probe, sc.start.Clone(), opts);
+    StatusOr<Lineage> d =
+        Lineage::Create(probe, sc.start, StoreOpts(&counter));
     ASSERT_TRUE(d.ok());
     ASSERT_TRUE(d.value().Close().ok());
   }
@@ -690,27 +780,24 @@ TEST(DurableDocumentPoison, IoFailurePoisonsHandleAndReopenRecovers) {
   plan.fail_at = counter.ops_seen() - 1;  // Close was counted too
   FaultInjector fi(plan);
   std::string dir = NewDir("poison");
-  DurableDocumentOptions opts = StoreOpts(&fi);
-  StatusOr<DurableDocument> created =
-      DurableDocument::Create(dir, sc.start.Clone(), opts);
+  StatusOr<Lineage> created = Lineage::Create(dir, sc.start, StoreOpts(&fi));
   ASSERT_TRUE(created.ok());
-  DurableDocument doc = created.take();
-  std::string committed = SerializeGrammar(doc.grammar());
+  Lineage d = created.take();
+  std::string committed = SerializeGrammar(d.grammar());
 
-  Status failed = doc.ApplyBatch(sc.batches[0]);
+  Status failed = d.Apply(sc.batches[0]);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.code(), StatusCode::kIoError);
-  EXPECT_TRUE(doc.poisoned());
-  EXPECT_EQ(doc.ApplyBatch(sc.batches[1]).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(doc.Checkpoint().code(), StatusCode::kFailedPrecondition);
-  doc.Close();
+  EXPECT_TRUE(d.doc().poisoned());
+  EXPECT_EQ(d.Apply(sc.batches[1]).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(d.Checkpoint().code(), StatusCode::kFailedPrecondition);
+  d.Close();
 
-  StatusOr<DurableDocument> opened = DurableDocument::Open(dir, StoreOpts());
+  StatusOr<Lineage> opened = Lineage::Open(dir, StoreOpts());
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_FALSE(opened.value().poisoned());
+  EXPECT_FALSE(opened.value().doc().poisoned());
   EXPECT_EQ(SerializeGrammar(opened.value().grammar()), committed);
-  ASSERT_TRUE(opened.value().ApplyBatch(sc.batches[0]).ok());
+  ASSERT_TRUE(opened.value().Apply(sc.batches[0]).ok());
   ASSERT_TRUE(opened.value().Close().ok());
   RemoveTree(dir);
 }

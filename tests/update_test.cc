@@ -18,7 +18,7 @@
 #include "src/repair/tree_repair.h"
 #include "src/tree/tree_hash.h"
 #include "src/tree/tree_io.h"
-#include "src/update/path_isolation.h"
+#include "src/update/batch.h"
 #include "src/update/udc.h"
 #include "src/xml/binary_encoding.h"
 #include "src/xml/xml_parser.h"
@@ -84,7 +84,7 @@ TEST(PathIsolationTest, IsolatesEveryPosition) {
   std::vector<NodeId> order = full.Preorder();
   for (int64_t pre = 1; pre <= static_cast<int64_t>(order.size()); ++pre) {
     Grammar g = g0.Clone();
-    StatusOr<NodeId> u = IsolateNode(&g, pre);
+    StatusOr<NodeId> u = BatchUpdater(&g).Isolate(pre);
     ASSERT_TRUE(u.ok()) << u.status().ToString();
     // The isolated node's label matches the tree node's label.
     EXPECT_EQ(g.rhs(g.start()).label(u.value()),
@@ -98,8 +98,8 @@ TEST(PathIsolationTest, IsolatesEveryPosition) {
 
 TEST(PathIsolationTest, OutOfRangeRejected) {
   Grammar g = CompressedSample();
-  EXPECT_FALSE(IsolateNode(&g, 0).ok());
-  EXPECT_FALSE(IsolateNode(&g, ValueNodeCount(g) + 1).ok());
+  EXPECT_FALSE(BatchUpdater(&g).Isolate(0).ok());
+  EXPECT_FALSE(BatchUpdater(&g).Isolate(ValueNodeCount(g) + 1).ok());
 }
 
 TEST(PathIsolationTest, SizeBoundLooselyHolds) {
@@ -110,7 +110,7 @@ TEST(PathIsolationTest, SizeBoundLooselyHolds) {
   int64_t n = ValueNodeCount(g0);
   for (int64_t pre = 1; pre <= n; pre += 7) {
     Grammar g = g0.Clone();
-    ASSERT_TRUE(IsolateNode(&g, pre).ok());
+    ASSERT_TRUE(BatchUpdater(&g).Isolate(pre).ok());
     EXPECT_LE(ComputeStats(g).node_count, 2 * before + 2);
   }
 }
