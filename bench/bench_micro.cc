@@ -250,6 +250,57 @@ void BM_SnapshotFindElement(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotFindElement);
 
+// Path queries on an immutable snapshot, one iteration = one pass over
+// a query mix of the end-to-end bench (e2ebench/e2e_bench.cc, seed 1).
+// BM_QueryMix runs the query-xmark mix on the 4-shard XMark snapshot
+// above; BM_QueryMixSparse runs the durable-treebank mix on Treebank
+// 0.2 ingested sequentially, whose start rule keeps the whole
+// document's arena id space after the repair while only a small
+// fraction of it stays live.
+void RunQueryMix(benchmark::State& state, const GrammarSnapshot& snap,
+                 const std::vector<std::string>& mix) {
+  for (auto _ : state) {
+    for (const std::string& q : mix) {
+      auto r = snap.RunQuery(q);
+      benchmark::DoNotOptimize(r.ok());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(mix.size()));
+}
+
+void BM_QueryMix(benchmark::State& state) {
+  static const std::vector<std::string> kMix = {
+      "count(//item)",
+      "exists(/site/people/person/watches/watch)",
+      "first(//open_auction/bidder/bid)",
+      "nth(//person, 300)",
+      "count(/site/regions/*/item[2]/mailbox/mail)",
+      "count(//closed_auction//keyword)",
+      "first(/site/categories/category[7]/description//text)",
+      "nth(//listitem//keyword, 100)"};
+  RunQueryMix(state, *SnapshotFixture::Get().snap, kMix);
+}
+BENCHMARK(BM_QueryMix);
+
+void BM_QueryMixSparse(benchmark::State& state) {
+  static const std::vector<std::string> kMix = {
+      "count(//NP)",  "exists(//SBAR//VP/VBD)",    "first(//PRN)",
+      "nth(//PP, 50)", "count(/FILE/EMPTY[5]/S/*)", "count(//S/VP)",
+      "first(//VP/NP/DT)", "nth(//DT, 200)"};
+  static const std::shared_ptr<const GrammarSnapshot>* snap = [] {
+    CompressOptions o;
+    o.num_shards = 1;
+    return new std::shared_ptr<const GrammarSnapshot>(
+        CompressXmlToSnapshot(
+            WriteXml(GenerateCorpus(Corpus::kTreebank, 0.2, 1000003ULL + 17)),
+            o)
+            .take());
+  }();
+  RunQueryMix(state, **snap, kMix);
+}
+BENCHMARK(BM_QueryMixSparse);
+
 void BM_PathIsolation(benchmark::State& state) {
   CompressedFixture& f = CompressedFixture::Get();
   int64_t pos = 1;

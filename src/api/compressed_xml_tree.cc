@@ -6,7 +6,6 @@
 #include "src/grammar/validate.h"
 #include "src/obs/trace.h"
 #include "src/update/batch.h"
-#include "src/xml/binary_encoding.h"
 #include "src/xml/xml_parser.h"
 
 namespace slg {
@@ -60,11 +59,12 @@ Status CompressedXmlTree::InsertXmlBefore(int64_t preorder,
   Grammar next = snap_->grammar().Clone();
   // The fragment's labels are interned into the clone's table; on
   // failure the clone is dropped, table extension included.
-  Tree frag = EncodeBinary(parsed.value(), &next.labels());
+  StatusOr<Tree> frag = EncodeFragment(parsed.value(), &next);
+  if (!frag.ok()) return frag.status();
   std::vector<LabelId> damage;
   {
     BatchUpdater batch(&next);
-    SLG_RETURN_IF_ERROR(batch.InsertBefore(preorder, frag));
+    SLG_RETURN_IF_ERROR(batch.InsertBefore(preorder, frag.value()));
     damage = batch.DamagedRules();
     batch.Finish();
   }

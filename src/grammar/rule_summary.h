@@ -6,20 +6,30 @@
 // boundary-resolution loop, and snapshot statistics re-walked the DAG
 // through ValueElementCount. A RuleSummary is
 // that knowledge computed once — at snapshot publish time, off the
-// writer lock — and consumed by SnapshotNav, GrammarCursor (via the
-// shared descent helper below), the CompressedXmlTree /
-// DocumentService read surfaces and the query engine (src/query/).
+// writer lock — and consumed by SnapshotNav, the CompressedXmlTree /
+// DocumentService read surfaces and the query engine (src/query/),
+// which evaluates over the compiled bodies below.
 //
-// Per rule body node v it stores
-//   static_size[v] — nodes of the tree v derives with every parameter
-//       substituted by the empty context (sum of SegTotal over the
-//       subtree), and
-//   the contiguous interval of parameter indices occurring under v
+// Per rule it stores the rule body compiled once into a flat array in
+// preorder: position 0 is the root, the first child of position i is
+// i + 1 (when the subtree ends past it), and the next sibling of a
+// child c is end[c] (when that is still inside the parent). Every
+// position holds
+//   label and kind — a terminal, a call, or parameter y_j;
+//   end — one past the last position of the node's subtree, and the
+//       parent's position;
+//   static_size — nodes of the tree the node derives with every
+//       parameter substituted by the empty context (sum of SegTotal
+//       over the subtree);
+//   the contiguous interval of parameter indices occurring under it
 //       (parameters occur exactly once each, in preorder order — the
 //       TreeRePair invariant — so the indices under any subtree form
 //       an interval).
-// With per-call prefix sums over actual argument sizes, any additive
-// per-node measure in context is then O(1) (DerivedIn / InContext).
+// The array holds the body's live nodes only, however sparse the
+// rule's arena has become through updates, and every rule's array is
+// a slice of one allocation. With per-call prefix sums over actual
+// argument sizes, any additive per-node measure in context is then
+// O(1) (DerivedIn / InContext).
 //
 // Per rule it additionally stores
 //   * a 256-bit hashed label filter over the material of val(rule)
@@ -70,9 +80,9 @@
 namespace slg {
 
 // Bottom-up static sizes for every node of one rule body (or the
-// start rule's tree), indexed by NodeId (dead ids hold 0). The one
-// implementation shared by RuleSummary::Build and BatchUpdater's
-// start-rule size table. `meta` must be a with-sizes snapshot.
+// start rule's tree), indexed by NodeId (dead ids hold 0) — the size
+// table BatchUpdater maintains incrementally for the start rule.
+// `meta` must be a with-sizes snapshot.
 std::vector<int64_t> ComputeStaticSizes(const Tree& t, const RuleMeta& meta);
 
 class RuleSummary {
@@ -80,6 +90,19 @@ class RuleSummary {
   // Sentinel for "no parameter below this node": any real parameter
   // index compares smaller.
   static constexpr int32_t kNoParamBelow = std::numeric_limits<int32_t>::max();
+
+  // One position of a compiled rule body (see the header comment).
+  struct BodyNode {
+    LabelId label;
+    int32_t kind;    // kTerminalKind, kCallKind, or parameter index j >= 1
+    int32_t end;     // one past the last position of the subtree
+    int32_t parent;  // -1 at the root
+    int32_t param_lo;  // parameter interval under the node;
+    int32_t param_hi;  // lo > hi means none below
+    int64_t static_size;
+  };
+  static constexpr int32_t kTerminalKind = 0;
+  static constexpr int32_t kCallKind = -1;
 
   // One material piece (see the header comment).
   struct Piece {
@@ -89,8 +112,9 @@ class RuleSummary {
   };
   static constexpr int32_t kTerminal = -1;
 
-  // One bottom-up pass per rule body plus one anti-SL pass over the
-  // rule DAG. `meta` must be a with-sizes snapshot of g.
+  // One preorder compile and one bottom-up pass per rule body, plus
+  // one anti-SL pass over the rule DAG. `meta` must be a with-sizes
+  // snapshot of g.
   static RuleSummary Build(const Grammar& g, const RuleMeta& meta);
 
   RuleSummary(RuleSummary&&) = default;
@@ -104,9 +128,16 @@ class RuleSummary {
   int64_t DerivedSize() const { return derived_size_; }
   int64_t DerivedElementCount() const { return derived_elements_; }
 
-  int64_t StaticSize(LabelId rule, NodeId v) const {
-    return rules_[static_cast<size_t>(rule)]
-        .static_size[static_cast<size_t>(v)];
+  // The compiled body of a rule: BodySize(rule) positions in preorder.
+  const BodyNode* Body(LabelId rule) const {
+    return nodes_.data() + rules_[static_cast<size_t>(rule)].body_first;
+  }
+  int32_t BodySize(LabelId rule) const {
+    return rules_[static_cast<size_t>(rule)].body_size;
+  }
+
+  int64_t StaticSize(LabelId rule, int32_t i) const {
+    return Body(rule)[i].static_size;
   }
   // Material nodes / non-⊥ material nodes of val(rule) (parameters
   // contributing nothing).
@@ -117,29 +148,23 @@ class RuleSummary {
     return rules_[static_cast<size_t>(rule)].material_elements;
   }
 
-  // derived(v | arguments): static size plus the argument-size prefix
-  // over the parameter interval under v. size_prefix[j] = derived
-  // sizes of arguments 1..j summed, size_prefix[0] = 0.
-  int64_t DerivedIn(LabelId rule, NodeId v,
-                    const std::vector<int64_t>& size_prefix) const {
-    return InContext(rule, v, rules_[static_cast<size_t>(rule)].static_size,
-                     size_prefix);
+  // derived(i | arguments): the static size at position i plus the
+  // argument-size prefix over the parameter interval under it.
+  // size_prefix[j] = derived sizes of arguments 1..j summed,
+  // size_prefix[0] = 0.
+  int64_t DerivedIn(LabelId rule, int32_t i, const int64_t* size_prefix) const {
+    return InContext(rule, i, StaticSize(rule, i), size_prefix);
   }
 
-  // The same combinator for any additive per-node measure: a caller
-  // supplied per-node static value (occurrence counts, match counts;
-  // an empty vector reads as all-zero) plus the caller's per-argument
-  // prefix sums over the parameter interval under v.
-  int64_t InContext(LabelId rule, NodeId v, const std::vector<int64_t>& values,
-                    const std::vector<int64_t>& prefix) const {
-    const Body& b = rules_[static_cast<size_t>(rule)];
-    size_t vi = static_cast<size_t>(v);
-    int64_t x = values.empty() ? 0 : values[vi];
-    int32_t lo = b.param_lo[vi];
-    int32_t hi = b.param_hi[vi];
-    if (lo <= hi) {
-      x = SizeSatAdd(x, prefix[static_cast<size_t>(hi)] -
-                            prefix[static_cast<size_t>(lo) - 1]);
+  // The same combinator for any additive per-node measure: the
+  // caller's static value x at position i (occurrence counts, match
+  // counts) plus its per-argument prefix sums over the parameter
+  // interval under i.
+  int64_t InContext(LabelId rule, int32_t i, int64_t x,
+                    const int64_t* prefix) const {
+    const BodyNode& n = Body(rule)[i];
+    if (n.param_lo <= n.param_hi) {
+      x = SizeSatAdd(x, prefix[n.param_hi] - prefix[n.param_lo - 1]);
     }
     return x;
   }
@@ -147,9 +172,9 @@ class RuleSummary {
   // Whether `label` may occur in the material of val(rule). Hashed:
   // false positives possible, false negatives never.
   bool MayContain(LabelId rule, LabelId label) const {
-    const Body& b = rules_[static_cast<size_t>(rule)];
+    const Rule& r = rules_[static_cast<size_t>(rule)];
     uint32_t h = FilterHash(label);
-    return (b.filter[h >> 6] >> (h & 63)) & 1;
+    return (r.filter[h >> 6] >> (h & 63)) & 1;
   }
 
   // Slot of segment j (0..Rank(rule)) of rule.
@@ -166,21 +191,19 @@ class RuleSummary {
   // (saturating): one callee-first pass over the piece table.
   std::vector<int64_t> CountPerSlot(LabelId want) const;
 
-  // Parameter interval under a body node (lo > hi means none below) —
+  // Parameter interval under position i (lo > hi means none below) —
   // exposed for consumers that roll their own prefix combination.
-  int32_t ParamLo(LabelId rule, NodeId v) const {
-    return rules_[static_cast<size_t>(rule)].param_lo[static_cast<size_t>(v)];
+  int32_t ParamLo(LabelId rule, int32_t i) const {
+    return Body(rule)[i].param_lo;
   }
-  int32_t ParamHi(LabelId rule, NodeId v) const {
-    return rules_[static_cast<size_t>(rule)].param_hi[static_cast<size_t>(v)];
+  int32_t ParamHi(LabelId rule, int32_t i) const {
+    return Body(rule)[i].param_hi;
   }
 
  private:
-  struct Body {
-    // All indexed by NodeId of the rule's rhs arena.
-    std::vector<int64_t> static_size;
-    std::vector<int32_t> param_lo;
-    std::vector<int32_t> param_hi;
+  struct Rule {
+    size_t body_first = 0;  // the rule's slice of nodes_
+    int32_t body_size = 0;
     // Hashed label filter over the rule's material (256 bits).
     std::array<uint64_t, 4> filter = {0, 0, 0, 0};
     int64_t material_size = 0;
@@ -194,7 +217,9 @@ class RuleSummary {
     return (static_cast<uint32_t>(l) * 2654435761u) >> 24;
   }
 
-  std::vector<Body> rules_;  // by LabelId; empty for non-rules
+  std::vector<Rule> rules_;  // by LabelId; empty for non-rules
+  // Every rule's compiled body, one slice per rule.
+  std::vector<BodyNode> nodes_;
   // Flat piece table of every rule, rules in callee-first order, and
   // the index of each slot's first piece (plus one end sentinel). Both
   // are allocated once, at their exact size.
@@ -205,20 +230,19 @@ class RuleSummary {
   int64_t derived_elements_ = 0;
 };
 
-// Shared boundary-resolution core of the node-by-node descents
-// (GrammarCursor::ResolveDown, the query engine's first-match
-// descent). Advances (rule, node) — which may sit on a parameter or a
-// call — across derivation boundaries until node is a terminal of
-// rule's body:
+// Boundary-resolution core of GrammarCursor::ResolveDown, over the
+// rule trees by NodeId (the query engine's first-match descent walks
+// the compiled bodies instead). Advances (rule, node) — which may sit
+// on a parameter or a call — across derivation boundaries until node
+// is a terminal of rule's body:
 //   * parameter y_j: pop() must remove the innermost frame and return
 //     the enclosing (rule, call-node) pair; the descent resumes at the
 //     call's j-th argument, in the caller's context;
 //   * call to B: push(B) is invoked with (rule, node) still at the
-//     call so the caller can capture its frame (argument prefix sums,
-//     context); returning true enters B's body root — the body root
-//     derives the same subtree as the call, so any position/count
-//     bookkeeping is unchanged — while false stops the resolution at
-//     the call node (e.g. a shortcut answered the query).
+//     call so the caller can capture its frame; returning true enters
+//     B's body root — the body root derives the same subtree as the
+//     call, so any position/count bookkeeping is unchanged — while
+//     false stops the resolution at the call node.
 template <typename PopFn, typename PushFn>
 inline void ResolveToTerminal(const RuleMeta& meta, LabelId& rule,
                               NodeId& node, PopFn&& pop, PushFn&& push) {

@@ -14,13 +14,20 @@
 //   * exits     — the context flowing out at each parameter node,
 //                 which is the context of the corresponding argument
 //                 at every instantiation,
-//   * matches   — per-body-node material match counts (only for
-//                 first/nth, which descend by them).
-// Each memo entry's body is walked exactly once: a pass that reaches
-// a call whose (callee, ctx) is unknown suspends there, evaluates the
-// callee first and resumes at the same node. Evaluation therefore
-// costs O(Σ |rhs(rule)|) summed over the memo entries (reported as
-// body_nodes), plus one hash lookup per call site, with no recursion.
+//   * matches   — per-position and per-segment material match
+//                 counts (only for first/nth, which descend by them).
+// Passes walk the summary's compiled bodies (flat preorder arrays,
+// rule_summary.h), never the rule trees. Each memo entry's body is
+// walked exactly once: a pass that reaches a call whose (callee, ctx)
+// is unknown suspends there, evaluates the callee first and resumes
+// at the same position. Evaluation therefore costs Θ(Σ |rhs(rule)|)
+// summed over the memo entries (reported as body_nodes), plus one
+// probe of an open-addressing (rule, ctx) table per call site, with
+// no recursion — and no heap allocation per pass, memo entry or
+// descent frame: pass contexts are carved LIFO from one stack (passes
+// themselves form a stack), exits and match counts live in pooled
+// arrays, and descent frames reuse their buffers; all of it is per
+// Run(), sized by the bodies' live nodes rather than their arenas.
 // Since a document's rule set is shared massively across the tree,
 // the number of (rule, ctx) pairs — and so the work — is typically
 // far below the document size: memo_entries is bounded by the rule
@@ -29,20 +36,24 @@
 //
 // Two shortcuts keep contexts from proliferating:
 //   * the empty context contributes nothing and flows zeros to every
-//     argument — handled inline, never memoized;
+//     argument — a position reached under it is skipped with its
+//     whole subtree, never memoized;
 //   * a context of only descendant states whose pending labels the
 //     rule's hashed label filter rules out cannot fire anywhere in
 //     the rule's material, so it reproduces itself at every exit with
 //     zero matches — also answered without a memo entry.
 //
-// first(p)/nth(p, k) reuse the memoized per-node match counts to
-// steer a root-to-match descent node by node (the frame walk
-// GrammarCursor also uses, via the shared ResolveToTerminal), so the
-// position comes out in O(d · rank) after evaluation, d being the
-// match's depth in the binary encoding — which a long sibling chain
-// makes linear in the document. (SnapshotNav::FindLabel selects one
-// rule per step instead; match counts depend on the per-node context,
-// so the engine cannot use its per-segment tables.)
+// first(p)/nth(p, k) reuse the memoized match counts to steer a
+// root-to-match descent over the compiled bodies: at a terminal the
+// per-position counts pick the child; at a call the callee's segment
+// counts and the arguments' counts pick the piece of its derived
+// preorder holding the match — an argument is entered in place, and
+// only a match in the callee's own material enters its body (a
+// parameter then resumes at the call's argument). The position comes
+// out in O(d · rank) after evaluation, d being the match's depth in
+// the binary encoding. (SnapshotNav::FindLabel selects one rule per
+// step instead; match counts depend on the per-node context, so the
+// engine cannot use its per-segment tables.)
 //
 // Status contract (matching the other read surfaces): malformed query
 // text or an over-complex plan → InvalidArgument; nth with k < 1 →

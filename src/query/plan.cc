@@ -2,17 +2,6 @@
 
 namespace slg {
 
-namespace {
-
-// Does the step's predicate match a node labeled l? ⊥ slots are not
-// elements and never match, not even "*".
-inline bool Matches(const QueryStep& step, LabelId l, LabelId bound) {
-  if (l == kNullLabel) return false;
-  return step.wildcard || l == bound;
-}
-
-}  // namespace
-
 StatusOr<QueryPlan> QueryPlan::Compile(Query q) {
   // Parse() already guarantees these; hand-built queries go through
   // the same gate.
@@ -36,7 +25,8 @@ StatusOr<QueryPlan> QueryPlan::Compile(Query q) {
   }
   QueryPlan p;
   int64_t states = 0;
-  p.state_base_.reserve(q.steps.size());
+  std::vector<int32_t> base;  // per step: first state index
+  base.reserve(q.steps.size());
   for (const QueryStep& s : q.steps) {
     int64_t width = s.positional > 0 ? s.positional : 1;
     // All step states plus the accept bit must fit one uint64_t.
@@ -44,70 +34,34 @@ StatusOr<QueryPlan> QueryPlan::Compile(Query q) {
       return Status::InvalidArgument(
           "query needs more than 64 automaton states");
     }
-    p.state_base_.push_back(static_cast<int32_t>(states));
+    base.push_back(static_cast<int32_t>(states));
     states += width;
   }
   p.accept_bit_ = uint64_t{1} << states;
   p.num_states_ = static_cast<int>(states) + 1;
   p.state_step_.assign(static_cast<size_t>(p.num_states_),
                        static_cast<int32_t>(q.steps.size()));
+  p.step_mask_.assign(q.steps.size(), 0);
+  p.after_.assign(static_cast<size_t>(p.num_states_), 0);
   for (size_t i = 0; i < q.steps.size(); ++i) {
     const QueryStep& s = q.steps[i];
-    int32_t base = p.state_base_[i];
+    const uint64_t after =
+        i + 1 == q.steps.size() ? p.accept_bit_ : uint64_t{1} << base[i + 1];
     int64_t width = s.positional > 0 ? s.positional : 1;
     for (int64_t c = 0; c < width; ++c) {
-      p.state_step_[static_cast<size_t>(base + c)] = static_cast<int32_t>(i);
-      if (s.axis == Axis::kDescendant) {
-        p.desc_mask_ |= uint64_t{1} << (base + c);
-      }
+      const int32_t state = base[i] + static_cast<int32_t>(c);
+      const uint64_t bit = uint64_t{1} << state;
+      p.state_step_[static_cast<size_t>(state)] = static_cast<int32_t>(i);
+      p.step_mask_[i] |= bit;
+      p.after_[static_cast<size_t>(state)] = after;
+      if (s.axis == Axis::kDescendant) p.desc_mask_ |= bit;
+      if (s.positional == 0) p.plain_mask_ |= bit;
+      if (s.wildcard) p.wildcard_mask_ |= bit;
+      if (c + 1 == width) p.advance_mask_ |= bit;
     }
   }
   p.q_ = std::move(q);
   return p;
-}
-
-uint64_t QueryPlan::Own(uint64_t ctx, LabelId l,
-                        const std::vector<LabelId>& bound) const {
-  uint64_t out = 0;
-  for (uint64_t bits = ctx; bits != 0; bits &= bits - 1) {
-    int s = __builtin_ctzll(bits);
-    size_t i = static_cast<size_t>(state_step_[static_cast<size_t>(s)]);
-    const QueryStep& step = q_.steps[i];
-    if (step.axis == Axis::kDescendant) {
-      // A descendant obligation persists at every node below its
-      // anchor, independent of whether it also advances here.
-      out |= uint64_t{1} << s;
-    }
-    if (Matches(step, l, bound[i])) {
-      if (step.positional == 0) {
-        out |= AfterBit(i);
-      } else if (s - state_base_[i] + 1 == step.positional) {
-        out |= AfterBit(i);
-      }
-    }
-  }
-  return out;
-}
-
-uint64_t QueryPlan::Next(uint64_t ctx, LabelId l,
-                         const std::vector<LabelId>& bound) const {
-  uint64_t out = 0;
-  for (uint64_t bits = ctx; bits != 0; bits &= bits - 1) {
-    int s = __builtin_ctzll(bits);
-    size_t i = static_cast<size_t>(state_step_[static_cast<size_t>(s)]);
-    const QueryStep& step = q_.steps[i];
-    if (step.positional == 0) {
-      // Descendant and counterless child obligations apply to every
-      // node of the sibling chain alike.
-      out |= uint64_t{1} << s;
-      continue;
-    }
-    int64_t c = s - state_base_[i] + (Matches(step, l, bound[i]) ? 1 : 0);
-    if (c < step.positional) {
-      out |= uint64_t{1} << (state_base_[i] + c);
-    }
-  }
-  return out;
 }
 
 }  // namespace slg

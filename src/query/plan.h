@@ -67,24 +67,52 @@ class QueryPlan {
   // Transitions at a node labeled l. `bound` holds the per-step
   // LabelId binding (kNoLabel = the name does not exist in this
   // grammar, so the predicate can never fire; unused for wildcards).
-  uint64_t Own(uint64_t ctx, LabelId l, const std::vector<LabelId>& bound) const;
+  // Both are a few mask operations over the states whose step
+  // predicate matches l.
+  uint64_t Own(uint64_t ctx, LabelId l,
+               const std::vector<LabelId>& bound) const {
+    uint64_t out = ctx & desc_mask_;
+    for (uint64_t bits = ctx & MatchStates(l, bound) & advance_mask_;
+         bits != 0; bits &= bits - 1) {
+      out |= after_[static_cast<size_t>(__builtin_ctzll(bits))];
+    }
+    return out;
+  }
   uint64_t Next(uint64_t ctx, LabelId l,
-                const std::vector<LabelId>& bound) const;
+                const std::vector<LabelId>& bound) const {
+    uint64_t positional = ctx & ~plain_mask_;
+    uint64_t hit = positional & MatchStates(l, bound);
+    return (ctx & plain_mask_) | (positional & ~hit) |
+           ((hit & ~advance_mask_) << 1);
+  }
 
  private:
   QueryPlan() = default;
 
-  uint64_t AfterBit(size_t i) const {
-    return i + 1 == q_.steps.size()
-               ? accept_bit_
-               : uint64_t{1} << state_base_[i + 1];
+  // States whose step predicate matches a node labeled l. ⊥ slots are
+  // not elements and never match, not even "*".
+  uint64_t MatchStates(LabelId l, const std::vector<LabelId>& bound) const {
+    if (l == kNullLabel) return 0;
+    uint64_t m = wildcard_mask_;
+    for (size_t i = 0; i < bound.size(); ++i) {
+      if (bound[i] == l) m |= step_mask_[i];
+    }
+    return m;
   }
 
   Query q_;
   int num_states_ = 0;
-  std::vector<int32_t> state_base_;  // per step: first state index
   std::vector<int32_t> state_step_;  // per state: owning step index
-  uint64_t desc_mask_ = 0;
+  std::vector<uint64_t> step_mask_;  // per step: its states
+  // Per state: the state entered when its step matches and completes
+  // (the next step's first state, or the accept bit).
+  std::vector<uint64_t> after_;
+  uint64_t desc_mask_ = 0;      // states of descendant steps
+  uint64_t plain_mask_ = 0;     // states of steps without [k]
+  uint64_t wildcard_mask_ = 0;  // states of "*" steps
+  // States that complete their step on a match: every state of a
+  // step without [k], the last counter k-1 of a step with one.
+  uint64_t advance_mask_ = 0;
   uint64_t accept_bit_ = 0;
 };
 

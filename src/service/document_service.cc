@@ -11,7 +11,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/update/batch.h"
-#include "src/xml/binary_encoding.h"
 #include "src/xml/xml_parser.h"
 
 namespace slg {
@@ -178,17 +177,18 @@ DocumentService::Reader DocumentService::OpenReader() const {
 Status DocumentService::Writer::Apply(const std::vector<UpdateOp>& ops) {
   if (ops.empty()) return Status::Ok();
   return service_->Write(
-      [&ops](LabelTable*) -> StatusOr<std::vector<UpdateOp>> { return ops; });
+      [&ops](Grammar*) -> StatusOr<std::vector<UpdateOp>> { return ops; });
 }
 
 Status DocumentService::Writer::Rename(int64_t preorder,
                                        std::string_view new_tag) {
   return service_->Write(
-      [&](LabelTable* labels) -> StatusOr<std::vector<UpdateOp>> {
+      [&](Grammar* g) -> StatusOr<std::vector<UpdateOp>> {
         std::vector<UpdateOp> ops = OneOp(UpdateOp::Kind::kRename, preorder);
-        // BatchUpdater rejects ⊥ and ranks other than 2.
-        LabelId id = labels->Find(new_tag);
-        ops[0].label = id != kNoLabel ? id : labels->Intern(new_tag, 2);
+        // BatchUpdater rejects ⊥, parameters, nonterminals and ranks
+        // other than 2.
+        LabelId id = g->labels().Find(new_tag);
+        ops[0].label = id != kNoLabel ? id : g->labels().Intern(new_tag, 2);
         return ops;
       });
 }
@@ -198,16 +198,18 @@ Status DocumentService::Writer::InsertXmlBefore(int64_t preorder,
   StatusOr<XmlTree> parsed = ParseXml(xml_fragment);
   if (!parsed.ok()) return parsed.status();
   return service_->Write(
-      [&](LabelTable* labels) -> StatusOr<std::vector<UpdateOp>> {
+      [&](Grammar* g) -> StatusOr<std::vector<UpdateOp>> {
+        StatusOr<Tree> frag = EncodeFragment(parsed.value(), g);
+        if (!frag.ok()) return frag.status();
         std::vector<UpdateOp> ops = OneOp(UpdateOp::Kind::kInsert, preorder);
-        ops[0].fragment = EncodeBinary(parsed.value(), labels);
+        ops[0].fragment = frag.take();
         return ops;
       });
 }
 
 Status DocumentService::Writer::Delete(int64_t preorder) {
   return service_->Write(
-      [preorder](LabelTable*) -> StatusOr<std::vector<UpdateOp>> {
+      [preorder](Grammar*) -> StatusOr<std::vector<UpdateOp>> {
         return OneOp(UpdateOp::Kind::kDelete, preorder);
       });
 }
@@ -217,7 +219,7 @@ Status DocumentService::Write(const BatchBuilder& build) {
   Timer timer;
   std::lock_guard<std::mutex> lk(mu_);
   Grammar next = state_->effective().grammar().Clone();
-  StatusOr<std::vector<UpdateOp>> ops = build(&next.labels());
+  StatusOr<std::vector<UpdateOp>> ops = build(&next);
   if (!ops.ok()) return ops.status();
   // Failure before publication: the clone is dropped, the service
   // state and the journal are untouched — batch atomicity.

@@ -198,10 +198,10 @@ class DocumentService {
     BatchEffect effect;   // in the current base's lineage
   };
 
-  // Builds a batch against the clone's label table, interning there
+  // Builds a batch against the clone, interning into its label table
   // the names the batch introduces.
   using BatchBuilder =
-      std::function<StatusOr<std::vector<UpdateOp>>(LabelTable* labels)>;
+      std::function<StatusOr<std::vector<UpdateOp>>(Grammar* clone)>;
 
   DocumentService(ServiceOptions options,
                   std::shared_ptr<const GrammarSnapshot> initial,

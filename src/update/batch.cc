@@ -9,6 +9,7 @@
 #include "src/grammar/stats.h"
 #include "src/grammar/value.h"
 #include "src/update/update_ops.h"
+#include "src/xml/binary_encoding.h"
 
 namespace slg {
 
@@ -120,6 +121,43 @@ StatusOr<NodeId> BatchUpdater::Isolate(int64_t preorder) {
   }
 }
 
+namespace {
+
+// Ok when `name` may label an element of g's document: it is new to
+// g's label table or a rank-2 terminal there. Element names share the
+// table with ⊥, the parameters and the repair's fresh nonterminal
+// names ("X2"), so a tag spelled like a rule would otherwise turn the
+// element into a call to that rule — or, at a rank other than 2,
+// trip the table's re-intern check.
+Status CheckElementName(const Grammar& g, std::string_view name) {
+  const LabelTable& labels = g.labels();
+  LabelId l = labels.Find(name);
+  if (l == kNoLabel) return Status::Ok();
+  if (l == kNullLabel) {
+    return Status::InvalidArgument("element name '" + std::string(name) +
+                                   "' is the empty node ⊥");
+  }
+  if (g.HasRule(l) || labels.IsParam(l)) {
+    return Status::InvalidArgument(
+        "element name '" + std::string(name) +
+        "' is a nonterminal or parameter of the grammar");
+  }
+  if (labels.Rank(l) != 2) {
+    return Status::InvalidArgument("element name '" + std::string(name) +
+                                   "' exists with a rank other than 2");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+StatusOr<Tree> EncodeFragment(const XmlTree& xml, Grammar* g) {
+  for (XmlNodeId v = 0; v < xml.NodeCount(); ++v) {
+    SLG_RETURN_IF_ERROR(CheckElementName(*g, xml.Tag(v)));
+  }
+  return EncodeBinary(xml, &g->labels());
+}
+
 Status BatchUpdater::Rename(int64_t preorder, std::string_view new_label) {
   StatusOr<NodeId> u = Isolate(preorder);
   if (!u.ok()) return u.status();
@@ -127,14 +165,8 @@ Status BatchUpdater::Rename(int64_t preorder, std::string_view new_label) {
   if (t.label(u.value()) == kNullLabel) {
     return Status::InvalidArgument("rename target is the empty node ⊥");
   }
+  SLG_RETURN_IF_ERROR(CheckElementName(*g_, new_label));
   LabelId existing = g_->labels().Find(new_label);
-  if (existing == kNullLabel) {
-    return Status::InvalidArgument("cannot rename to ⊥");
-  }
-  if (existing != kNoLabel && g_->labels().Rank(existing) != 2) {
-    return Status::InvalidArgument(
-        "rename label exists with a rank other than 2");
-  }
   LabelId nl =
       existing != kNoLabel ? existing : g_->labels().Intern(new_label, 2);
   meta_.ExtendForNewLabels(*g_);
@@ -147,6 +179,33 @@ Status BatchUpdater::Rename(int64_t preorder, std::string_view new_label) {
 
 Status BatchUpdater::InsertBefore(int64_t preorder, const Tree& s) {
   if (s.empty()) return Status::InvalidArgument("empty insert fragment");
+  // Fragment labels are caller-supplied too. Check them before
+  // anything is isolated: sizing the copy indexes the snapshot by
+  // label, the journal codec writes each node's table rank, so a node
+  // whose child count disagrees with it would not replay, and a node
+  // labeled by a nonterminal or parameter would turn into a call or a
+  // dangling parameter of the start rule.
+  const LabelTable& labels = g_->labels();
+  Status bad = Status::Ok();
+  s.VisitPreorder(s.root(), [&](NodeId v) {
+    LabelId l = s.label(v);
+    if (!bad.ok()) return;
+    if (l < 0 || l >= static_cast<LabelId>(labels.size())) {
+      bad = Status::InvalidArgument(
+          "insert fragment label id " + std::to_string(l) +
+          " is not in the grammar's label table");
+    } else if (g_->HasRule(l) || labels.IsParam(l)) {
+      bad = Status::InvalidArgument(
+          "insert fragment node '" + labels.Name(l) +
+          "' is labeled by a nonterminal or parameter of the grammar");
+    } else if (labels.Rank(l) != s.NumChildren(v)) {
+      bad = Status::InvalidArgument(
+          "insert fragment node '" + labels.Name(l) + "' has " +
+          std::to_string(s.NumChildren(v)) + " children but rank " +
+          std::to_string(labels.Rank(l)));
+    }
+  });
+  if (!bad.ok()) return bad;
   StatusOr<NodeId> u_or = Isolate(preorder);
   if (!u_or.ok()) return u_or.status();
   NodeId u = u_or.value();
@@ -219,30 +278,8 @@ Status BatchUpdater::Delete(int64_t preorder) {
 
 Status BatchUpdater::Apply(const UpdateOp& op) {
   switch (op.kind) {
-    case UpdateOp::Kind::kInsert: {
-      // Fragment labels are caller-supplied too. Check them before
-      // anything is isolated: sizing the copy indexes the snapshot by
-      // label, and the journal codec writes each node's table rank, so
-      // a node whose child count disagrees with it would not replay.
-      const LabelTable& labels = g_->labels();
-      Status bad = Status::Ok();
-      op.fragment.VisitPreorder(op.fragment.root(), [&](NodeId v) {
-        LabelId l = op.fragment.label(v);
-        if (!bad.ok()) return;
-        if (l < 0 || l >= static_cast<LabelId>(labels.size())) {
-          bad = Status::InvalidArgument(
-              "insert fragment label id " + std::to_string(l) +
-              " is not in the grammar's label table");
-        } else if (labels.Rank(l) != op.fragment.NumChildren(v)) {
-          bad = Status::InvalidArgument(
-              "insert fragment node '" + labels.Name(l) + "' has " +
-              std::to_string(op.fragment.NumChildren(v)) +
-              " children but rank " + std::to_string(labels.Rank(l)));
-        }
-      });
-      if (!bad.ok()) return bad;
+    case UpdateOp::Kind::kInsert:
       return InsertBefore(op.preorder, op.fragment);
-    }
     case UpdateOp::Kind::kDelete:
       return Delete(op.preorder);
     case UpdateOp::Kind::kRename:

@@ -37,6 +37,7 @@
 #include "src/grammar/grammar.h"
 #include "src/grammar/rule_meta.h"
 #include "src/workload/update_workload.h"
+#include "src/xml/xml_tree.h"
 
 namespace slg {
 
@@ -127,6 +128,14 @@ struct BatchEffect {
   int64_t edges_added = 0;
   int64_t ops = 0;
 };
+
+// Encodes a parsed XML fragment for an insert into g, interning its
+// element names into g's label table as rank-2 terminals — the one
+// fragment encoding of every insert surface. InvalidArgument, before
+// anything is interned, when an element name is already a label of g
+// other than a rank-2 terminal: a nonterminal, a parameter, ⊥, or a
+// label of another rank.
+StatusOr<Tree> EncodeFragment(const XmlTree& xml, Grammar* g);
 
 // Applies `ops` as one batch (one BatchUpdater, finished). On error
 // *g may be half-updated: callers that need atomicity apply to a

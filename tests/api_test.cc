@@ -8,6 +8,9 @@
 #include <memory>
 #include <string>
 
+#include "src/datasets/generators.h"
+#include "src/xml/xml_writer.h"
+
 namespace slg {
 namespace {
 
@@ -188,6 +191,48 @@ TEST(CompressedXmlTreeErrorContract, InsertFailures) {
   ExpectUnchangedAfter(&doc, [](CompressedXmlTree* d) {
     return d->InsertXmlBefore(0, "<a/>");
   });
+}
+
+TEST(CompressedXmlTreeErrorContract, ElementNamesNamingRulesAreRejected) {
+  // Element names share the label table with the repair's fresh
+  // nonterminal names: renaming to, or inserting an element spelled
+  // like, a rule of rank 2 would silently turn the element into a
+  // call, and at any other rank it used to abort in the table's
+  // re-intern check. Both are user errors.
+  auto made = CompressedXmlTree::FromXml(
+      WriteXml(GenerateCorpus(Corpus::kMedline, 0.05, 7)));
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  CompressedXmlTree doc = made.take();
+  const Grammar& g = doc.Snapshot()->grammar();
+  std::string rank2, other;
+  g.ForEachRule([&](LabelId lhs, const Tree&) {
+    if (lhs == g.start()) return;
+    std::string& pick = g.labels().Rank(lhs) == 2 ? rank2 : other;
+    if (pick.empty()) pick = g.labels().Name(lhs);
+  });
+  ASSERT_FALSE(rank2.empty());
+  ASSERT_FALSE(other.empty());
+  for (const std::string& name : {rank2, other}) {
+    SCOPED_TRACE(name);
+    ExpectUnchangedAfter(&doc, [&](CompressedXmlTree* d) {
+      Status st = d->Rename(3, name);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      return st;
+    });
+    ExpectUnchangedAfter(&doc, [&](CompressedXmlTree* d) {
+      Status st = d->InsertXmlBefore(3, "<" + name + "/>");
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      return st;
+    });
+    ExpectUnchangedAfter(&doc, [&](CompressedXmlTree* d) {
+      Status st = d->InsertXmlBefore(3, "<fresh><" + name + "/></fresh>");
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      return st;
+    });
+  }
+  // Unrelated names still go through.
+  ASSERT_TRUE(doc.Rename(3, "fresh").ok());
+  ASSERT_TRUE(doc.InsertXmlBefore(3, "<fresh/>").ok());
 }
 
 TEST(CompressedXmlTreeErrorContract, DeleteFailures) {

@@ -15,6 +15,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -24,7 +25,9 @@
 #include "src/grammar/rule_summary.h"
 #include "src/grammar/text_format.h"
 #include "src/grammar/value.h"
+#include "src/service/snapshot.h"
 #include "src/xml/binary_encoding.h"
+#include "src/xml/xml_writer.h"
 #include "tests/exponential_grammars.h"
 
 namespace slg {
@@ -388,6 +391,78 @@ TEST(QueryEngineTest, NestedCallsWalkEachBodyOnce) {
   EXPECT_GT(n12, 0);
   EXPECT_LE(n24, 2 * n12);
   EXPECT_LE(n48, 2 * n24);
+}
+
+TEST(QueryEngineTest, ConcurrentQueriesMatchSingleThreaded) {
+  // Any number of threads may run queries on one snapshot: every
+  // evaluation keeps its scratch to itself. Four threads replay the
+  // query mix of the end-to-end query-xmark workload against one
+  // 4-shard XMark snapshot; every answer and every work counter must
+  // equal the single-threaded run's.
+  CompressOptions o;
+  o.num_threads = 4;
+  o.num_shards = 4;
+  auto snap = CompressXmlToSnapshot(
+                  WriteXml(GenerateCorpus(Corpus::kXMark, 0.1, 1000003ULL + 17)),
+                  o)
+                  .take();
+  const std::vector<std::string> mix = {
+      "count(//item)",
+      "exists(/site/people/person/watches/watch)",
+      "first(//open_auction/bidder/bid)",
+      "nth(//person, 30)",
+      "count(/site/regions/*/item[2]/mailbox/mail)",
+      "count(//closed_auction//keyword)",
+      "first(/site/categories/category[7]/description//text)",
+      "nth(//listitem//keyword, 10)",
+      "nth(//person, 100000)"};
+  struct Answer {
+    StatusCode code;
+    int64_t count, position, rules_visited, memo_entries, memo_hits,
+        body_nodes;
+    bool operator==(const Answer& o) const {
+      return code == o.code && count == o.count && position == o.position &&
+             rules_visited == o.rules_visited &&
+             memo_entries == o.memo_entries && memo_hits == o.memo_hits &&
+             body_nodes == o.body_nodes;
+    }
+  };
+  auto run = [&](const std::string& q) {
+    StatusOr<QueryResult> r = snap->RunQuery(q);
+    if (!r.ok()) return Answer{r.status().code(), 0, 0, 0, 0, 0, 0};
+    const QueryResult& v = r.value();
+    return Answer{StatusCode::kOk,          v.count,
+                  v.position,               v.stats.rules_visited,
+                  v.stats.memo_entries,     v.stats.memo_hits,
+                  v.stats.body_nodes};
+  };
+  std::vector<Answer> expect;
+  for (const std::string& q : mix) expect.push_back(run(q));
+  for (size_t i = 0; i + 1 < mix.size(); ++i) {
+    EXPECT_EQ(expect[i].code, StatusCode::kOk) << mix[i];
+  }
+  EXPECT_EQ(expect.back().code, StatusCode::kNotFound);
+  EXPECT_GT(expect.front().count, 0);
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 25;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < mix.size(); ++i) {
+          // Each thread walks the mix from its own offset.
+          size_t q = (i + static_cast<size_t>(t)) % mix.size();
+          if (!(run(mix[q]) == expect[q])) ++mismatches[static_cast<size_t>(t)];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
+  }
 }
 
 TEST(QueryParseTest, RoundTripAndErrors) {

@@ -1,13 +1,16 @@
-// RuleSummary: the shared per-rule summary layer must report exact
-// sizes and element counts, parameter intervals matching the rule
-// bodies, a label filter with no false negatives, and material piece
-// tables that tile every segment and place the document's terminals
-// at their true derived positions.
+// RuleSummary: the shared per-rule summary layer must compile every
+// rule body into preorder positions that reproduce the rule tree
+// (labels, kinds, subtree ends, child lists) and are sized by its live
+// nodes, report exact sizes and element counts, parameter intervals
+// matching the rule bodies, a label filter with no false negatives,
+// and material piece tables that tile every segment and place the
+// document's terminals at their true derived positions.
 
 #include "src/grammar/rule_summary.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <set>
@@ -25,8 +28,8 @@
 namespace slg {
 namespace {
 
-Grammar CompressedCorpus(Corpus c) {
-  XmlTree xml = GenerateCorpus(c, 0.01);
+Grammar CompressedCorpus(Corpus c, double scale = 0.01) {
+  XmlTree xml = GenerateCorpus(c, scale);
   LabelTable labels;
   Tree bin = EncodeBinary(xml, &labels);
   return GrammarRePair(Grammar::ForTree(std::move(bin), labels), {}).grammar;
@@ -69,12 +72,51 @@ void CheckSummary(const Grammar& g) {
   EXPECT_EQ(sum.MaterialSize(g.start()), ValueNodeCount(g));
   EXPECT_EQ(sum.MaterialElements(g.start()), ValueElementCount(g));
 
-  // Per-node static sizes agree with the update path's sizing pass
-  // (one shared implementation, pinned here).
+  // The compiled body reproduces the rule tree position by position:
+  // label and kind, subtree end, child list and parent, static size (agreeing
+  // with the update path's NodeId-indexed sizing pass — one shared
+  // definition, pinned here) and the parameters occurring below.
+  using BodyNode = RuleSummary::BodyNode;
   g.ForEachRule([&](LabelId lhs, const Tree& t) {
+    SCOPED_TRACE("rule " + g.labels().Name(lhs));
+    std::vector<NodeId> order = t.Preorder();
+    ASSERT_EQ(sum.BodySize(lhs), static_cast<int32_t>(order.size()));
+    ASSERT_EQ(sum.BodySize(lhs), t.LiveCount());
+    std::map<NodeId, int32_t> pos;
+    for (size_t i = 0; i < order.size(); ++i) {
+      pos[order[i]] = static_cast<int32_t>(i);
+    }
     std::vector<int64_t> ref = ComputeStaticSizes(t, meta);
-    for (NodeId v : t.Preorder()) {
-      EXPECT_EQ(sum.StaticSize(lhs, v), ref[static_cast<size_t>(v)]);
+    const BodyNode* b = sum.Body(lhs);
+    EXPECT_EQ(b[0].parent, -1);
+    for (int32_t i = 0; i < sum.BodySize(lhs); ++i) {
+      NodeId v = order[static_cast<size_t>(i)];
+      LabelId l = t.label(v);
+      EXPECT_EQ(b[i].label, l);
+      int32_t kind = meta.ParamIndex(l) > 0 ? meta.ParamIndex(l)
+                     : meta.IsNonterminal(l) ? RuleSummary::kCallKind
+                                             : RuleSummary::kTerminalKind;
+      EXPECT_EQ(b[i].kind, kind);
+      EXPECT_EQ(b[i].end, i + t.SubtreeSize(v));
+      std::vector<int32_t> kids;
+      for (int32_t c = i + 1; c < b[i].end; c = b[c].end) kids.push_back(c);
+      std::vector<int32_t> tree_kids;
+      for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
+        tree_kids.push_back(pos[c]);
+      }
+      EXPECT_EQ(kids, tree_kids);
+      for (int32_t c : kids) EXPECT_EQ(b[c].parent, i);
+      EXPECT_EQ(sum.StaticSize(lhs, i), ref[static_cast<size_t>(v)]);
+      int32_t lo = RuleSummary::kNoParamBelow;
+      int32_t hi = 0;
+      t.VisitPreorder(v, [&](NodeId w) {
+        if (int pj = meta.ParamIndex(t.label(w)); pj > 0) {
+          lo = std::min(lo, pj);
+          hi = std::max(hi, pj);
+        }
+      });
+      EXPECT_EQ(sum.ParamLo(lhs, i), lo);
+      EXPECT_EQ(sum.ParamHi(lhs, i), hi);
     }
   });
 
@@ -162,19 +204,19 @@ TEST(RuleSummaryTest, ExponentialGrammars) {
 }
 
 TEST(RuleSummaryTest, ParameterIntervals) {
-  // A -> g($1,h($2,c)): the interval under a node is exactly the
-  // parameters occurring below it.
+  // A -> g($1,h($2,c)): the interval under a position is exactly the
+  // parameters occurring below it. Preorder positions: g 0, $1 1,
+  // h 2, $2 3, c 4.
   Grammar g = ParameterizedSiblingGrammar();
   RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
   RuleSummary sum = RuleSummary::Build(g, meta);
   LabelId a = g.labels().Find("A");
   ASSERT_NE(a, kNoLabel);
-  const Tree& t = meta.Rhs(a);
-  NodeId root = meta.RhsRoot(a);   // g(...)
-  NodeId y1 = t.Child(root, 1);    // $1
-  NodeId h = t.Child(root, 2);     // h($2,c)
-  NodeId y2 = t.Child(h, 1);       // $2
-  NodeId c = t.Child(h, 2);        // c
+  ASSERT_EQ(sum.BodySize(a), 5);
+  const int32_t root = 0, y1 = 1, h = 2, y2 = 3, c = 4;
+  EXPECT_EQ(sum.Body(a)[y1].kind, 1);
+  EXPECT_EQ(sum.Body(a)[y2].kind, 2);
+  EXPECT_EQ(sum.Body(a)[h].end, 5);
   EXPECT_EQ(sum.ParamLo(a, root), 1);
   EXPECT_EQ(sum.ParamHi(a, root), 2);
   EXPECT_EQ(sum.ParamLo(a, y1), 1);
@@ -188,8 +230,29 @@ TEST(RuleSummaryTest, ParameterIntervals) {
   // DerivedIn with explicit argument sizes: val(A(x,y)) has 3 material
   // nodes (g, h, c) plus the two argument sizes.
   std::vector<int64_t> prefix = {0, 5, 5 + 3};  // |arg1| = 5, |arg2| = 3
-  EXPECT_EQ(sum.DerivedIn(a, root, prefix), 3 + 5 + 3);
-  EXPECT_EQ(sum.DerivedIn(a, h, prefix), 2 + 3);
+  EXPECT_EQ(sum.DerivedIn(a, root, prefix.data()), 3 + 5 + 3);
+  EXPECT_EQ(sum.DerivedIn(a, h, prefix.data()), 2 + 3);
+}
+
+TEST(RuleSummaryTest, BodiesAreSizedByLiveNodes) {
+  // Repairing a sequentially ingested document replaces digrams in
+  // place, so the start rule's arena keeps the whole document's id
+  // space while only a small fraction of it stays live. The compiled
+  // bodies hold live nodes only.
+  Grammar g = CompressedCorpus(Corpus::kMedline, 0.05);
+  const Tree& t = g.rhs(g.start());
+  NodeId max_id = 0;
+  t.VisitPreorder(t.root(), [&](NodeId v) { max_id = std::max(max_id, v); });
+  const int64_t id_space = int64_t{max_id} + 1;
+  ASSERT_GE(id_space, 10 * int64_t{t.LiveCount()})
+      << "id space " << id_space << ", live " << t.LiveCount();
+  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
+  RuleSummary sum = RuleSummary::Build(g, meta);
+  g.ForEachRule([&](LabelId lhs, const Tree& rhs) {
+    EXPECT_EQ(sum.BodySize(lhs), rhs.LiveCount());
+  });
+  EXPECT_EQ(sum.DerivedSize(), ValueNodeCount(g));
+  CheckSummary(g);
 }
 
 TEST(RuleSummaryTest, SaturatedPieceStarts) {

@@ -505,6 +505,51 @@ std::string ReplayOwnJournal(const std::string& dir) {
   return SerializeGrammar(g);
 }
 
+TEST(DocumentServiceTest, ElementNamesNamingRulesAreRejected) {
+  // A rename target or fragment tag spelled like a nonterminal of the
+  // served grammar is refused — at rank 2 it would silently become a
+  // call, at any other rank it used to abort the process — and the
+  // rejection neither publishes nor journals anything.
+  const std::string xml = WriteXml(GenerateCorpus(Corpus::kMedline, 0.05, 7));
+  ServiceOptions opts = ManualMerge();
+  opts.durable_dir = NewDir("rule_names");
+  auto svc = DocumentService::FromXml(xml, opts).take();
+  auto writer = svc->OpenWriter();
+  const std::string before = EffectiveBytes(*svc);
+  const Grammar& g = svc->OpenReader().snapshot().grammar();
+  std::string rank2, other;
+  g.ForEachRule([&](LabelId lhs, const Tree&) {
+    if (lhs == g.start()) return;
+    std::string& pick = g.labels().Rank(lhs) == 2 ? rank2 : other;
+    if (pick.empty()) pick = g.labels().Name(lhs);
+  });
+  ASSERT_FALSE(rank2.empty());
+  ASSERT_FALSE(other.empty());
+  for (const std::string& name : {rank2, other}) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(writer.Rename(3, name).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(writer.InsertXmlBefore(3, "<" + name + "/>").code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(writer.InsertXmlBefore(3, "<fresh><" + name + "/></fresh>")
+                  .code(),
+              StatusCode::kInvalidArgument);
+    std::vector<UpdateOp> rename(1);
+    rename[0].kind = UpdateOp::Kind::kRename;
+    rename[0].preorder = 3;
+    rename[0].label = g.labels().Find(name);
+    EXPECT_EQ(writer.Apply(rename).code(), StatusCode::kInvalidArgument);
+  }
+  DocumentService::Reader r = svc->OpenReader();
+  EXPECT_EQ(r.version(), 0);
+  EXPECT_EQ(EffectiveBytes(*svc), before);
+  EXPECT_EQ(svc->GetStats().acked_batches, 0);
+  EXPECT_EQ(ReplayOwnJournal(opts.durable_dir), before);
+  ASSERT_TRUE(writer.Rename(3, "fresh").ok());
+  EXPECT_EQ(svc->OpenReader().version(), 1);
+  svc.reset();
+  RemoveTree(opts.durable_dir);
+}
+
 struct CrashRun {
   bool create_ok = false;
   int acked = 0;  // steps (Apply / Flush) that returned Ok
