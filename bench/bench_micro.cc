@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "src/core/grammar_repair.h"
 #include "src/core/retrieve_occs.h"
 #include "src/datasets/generators.h"
+#include "src/grammar/rule_summary.h"
 #include "src/grammar/text_format.h"
 #include "src/grammar/usage.h"
 #include "src/grammar/value.h"
@@ -64,15 +66,20 @@ struct CompressedFixture {
   Grammar grammar;
   int64_t nodes;
   int64_t elements;
+  // Shared by the cursor benches, as a snapshot shares it with its
+  // cursors: they time navigation, not the record build.
+  std::shared_ptr<const RuleSummary> summary;
   static CompressedFixture& Get() {
     static CompressedFixture* f = [] {
       XmlTree xml = SharedDoc();
       LabelTable labels;
       Tree bin = EncodeBinary(xml, &labels);
       auto* fx = new CompressedFixture{
-          TreeRePair(std::move(bin), labels, {}).grammar, 0, 0};
+          TreeRePair(std::move(bin), labels, {}).grammar, 0, 0, nullptr};
       fx->nodes = ValueNodeCount(fx->grammar);
       fx->elements = ValueElementCount(fx->grammar);
+      fx->summary =
+          std::make_shared<const RuleSummary>(RuleSummary::Build(fx->grammar));
       return fx;
     }();
     return *f;
@@ -106,7 +113,7 @@ BENCHMARK(BM_DigramIndexBuild);
 void BM_CursorDfsTraversal(benchmark::State& state) {
   CompressedFixture& f = CompressedFixture::Get();
   for (auto _ : state) {
-    GrammarCursor cur(&f.grammar);
+    GrammarCursor cur(&f.grammar, f.summary);
     int64_t visited = 1;
     bool done = false;
     while (!done) {
@@ -135,7 +142,7 @@ BENCHMARK(BM_CursorDfsTraversal);
 // the matching ascents: the pure Down/Up hot loop.
 void BM_CursorRootToLeaf(benchmark::State& state) {
   CompressedFixture& f = CompressedFixture::Get();
-  GrammarCursor cur(&f.grammar);
+  GrammarCursor cur(&f.grammar, f.summary);
   int64_t steps = 0;
   for (auto _ : state) {
     cur.ToRoot();
@@ -155,7 +162,7 @@ BENCHMARK(BM_CursorRootToLeaf);
 // binary encoding turns this into repeated Down(2) hops.
 void BM_CursorSiblingScan(benchmark::State& state) {
   CompressedFixture& f = CompressedFixture::Get();
-  GrammarCursor cur(&f.grammar);
+  GrammarCursor cur(&f.grammar, f.summary);
   int64_t scanned = 0;
   for (auto _ : state) {
     cur.ToRoot();

@@ -29,7 +29,6 @@
 #include "src/common/timer.h"
 #include "src/core/grammar_repair.h"
 #include "src/datasets/generators.h"
-#include "src/grammar/rule_meta.h"
 #include "src/grammar/rule_summary.h"
 #include "src/grammar/value.h"
 #include "src/obs/session.h"
@@ -171,9 +170,8 @@ int Run(int argc, char** argv) {
 
   for (const CorpusRow& row : kCorpora) {
     Grammar g = CompressedCorpus(row.corpus, scale);
-    RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-    RuleSummary sum = RuleSummary::Build(g, meta);
-    QueryEngine eng(&g, &meta, &sum);
+    RuleSummary sum = RuleSummary::Build(g);
+    QueryEngine eng(&g, &sum);
     std::string tag = FrequentTag(g);
 
     TablePrinter table({"query", "matches", "rules visited", "memo entries",
@@ -218,9 +216,8 @@ int Run(int argc, char** argv) {
   int si = 0;
   for (double s : kScales) {
     Grammar g = CompressedCorpus(Corpus::kExiWeblog, s);
-    RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-    RuleSummary sum = RuleSummary::Build(g, meta);
-    QueryEngine eng(&g, &meta, &sum);
+    RuleSummary sum = RuleSummary::Build(g);
+    QueryEngine eng(&g, &sum);
     std::string tag = FrequentTag(g);
     QueryCase q{"scale", "count(//" + tag + ")", OracleKind::kCountLabel, tag};
     CaseResult r = RunCase(g, eng, q, reps);

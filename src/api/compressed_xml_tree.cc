@@ -1,5 +1,6 @@
 #include "src/api/compressed_xml_tree.h"
 
+#include <functional>
 #include <utility>
 
 #include "src/grammar/binary_format.h"
@@ -33,7 +34,8 @@ StatusOr<CompressedXmlTree> CompressedXmlTree::FromSnapshot(
   return CompressedXmlTree(std::move(snapshot), update);
 }
 
-Status CompressedXmlTree::Rename(int64_t preorder, std::string_view new_tag) {
+Status CompressedXmlTree::Update(
+    const std::function<Status(Grammar*, BatchUpdater*)>& edit) {
   // Clone-modify-swap: the update runs on a private clone, so any
   // failure discards the clone and the published snapshot — and with
   // it Serialize(), the damage set, the counter — is untouched.
@@ -41,54 +43,45 @@ Status CompressedXmlTree::Rename(int64_t preorder, std::string_view new_tag) {
   std::vector<LabelId> damage;
   {
     BatchUpdater batch(&next);
-    SLG_RETURN_IF_ERROR(batch.Rename(preorder, new_tag));
+    SLG_RETURN_IF_ERROR(edit(&next, &batch));
     damage = batch.DamagedRules();
-    batch.Finish();
+    batch.Finish();  // drops the summary, then garbage-collects
   }
-  NoteDamage(damage);
+  for (LabelId r : damage) {
+    if (pending_damage_seen_.insert(r).second) pending_damage_.push_back(r);
+  }
   snap_ = GrammarSnapshot::Make(std::move(next), snap_->version() + 1);
   ++updates_since_recompress_;
-  MaybeAutoRecompress();
+  if (options_.auto_recompress_every > 0 &&
+      updates_since_recompress_ >= options_.auto_recompress_every) {
+    Recompress();
+  }
   return Status::Ok();
+}
+
+Status CompressedXmlTree::Rename(int64_t preorder, std::string_view new_tag) {
+  return Update([&](Grammar*, BatchUpdater* batch) {
+    return batch->Rename(preorder, new_tag);
+  });
 }
 
 Status CompressedXmlTree::InsertXmlBefore(int64_t preorder,
                                           std::string_view xml_fragment) {
   StatusOr<XmlTree> parsed = ParseXml(xml_fragment);
   if (!parsed.ok()) return parsed.status();
-  Grammar next = snap_->grammar().Clone();
-  // The fragment's labels are interned into the clone's table; on
-  // failure the clone is dropped, table extension included.
-  StatusOr<Tree> frag = EncodeFragment(parsed.value(), &next);
-  if (!frag.ok()) return frag.status();
-  std::vector<LabelId> damage;
-  {
-    BatchUpdater batch(&next);
-    SLG_RETURN_IF_ERROR(batch.InsertBefore(preorder, frag.value()));
-    damage = batch.DamagedRules();
-    batch.Finish();
-  }
-  NoteDamage(damage);
-  snap_ = GrammarSnapshot::Make(std::move(next), snap_->version() + 1);
-  ++updates_since_recompress_;
-  MaybeAutoRecompress();
-  return Status::Ok();
+  return Update([&](Grammar* next, BatchUpdater* batch) {
+    // The fragment's labels are interned into the clone's table; on
+    // failure the clone is dropped, table extension included.
+    StatusOr<Tree> frag = EncodeFragment(parsed.value(), next);
+    if (!frag.ok()) return frag.status();
+    return batch->InsertBefore(preorder, frag.value());
+  });
 }
 
 Status CompressedXmlTree::Delete(int64_t preorder) {
-  Grammar next = snap_->grammar().Clone();
-  std::vector<LabelId> damage;
-  {
-    BatchUpdater batch(&next);
-    SLG_RETURN_IF_ERROR(batch.Delete(preorder));
-    damage = batch.DamagedRules();
-    batch.Finish();  // drops the snapshot, then garbage-collects
-  }
-  NoteDamage(damage);
-  snap_ = GrammarSnapshot::Make(std::move(next), snap_->version() + 1);
-  ++updates_since_recompress_;
-  MaybeAutoRecompress();
-  return Status::Ok();
+  return Update([&](Grammar*, BatchUpdater* batch) {
+    return batch->Delete(preorder);
+  });
 }
 
 void CompressedXmlTree::Recompress() {
@@ -104,19 +97,6 @@ void CompressedXmlTree::Recompress() {
       RecompressDamaged(snap_->grammar().Clone(), damage, options_);
   snap_ = GrammarSnapshot::Make(std::move(r.grammar), snap_->version() + 1);
   updates_since_recompress_ = 0;
-}
-
-void CompressedXmlTree::NoteDamage(const std::vector<LabelId>& rules) {
-  for (LabelId r : rules) {
-    if (pending_damage_seen_.insert(r).second) pending_damage_.push_back(r);
-  }
-}
-
-void CompressedXmlTree::MaybeAutoRecompress() {
-  if (options_.auto_recompress_every > 0 &&
-      updates_since_recompress_ >= options_.auto_recompress_every) {
-    Recompress();
-  }
 }
 
 std::string CompressedXmlTree::Serialize() const {

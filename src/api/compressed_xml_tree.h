@@ -39,6 +39,7 @@
 #define SLG_API_COMPRESSED_XML_TREE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -52,6 +53,8 @@
 #include "src/service/snapshot.h"
 
 namespace slg {
+
+class BatchUpdater;
 
 class CompressedXmlTree {
  public:
@@ -141,8 +144,11 @@ class CompressedXmlTree {
                     const UpdateOptions& update)
       : snap_(std::move(snap)), options_(update) {}
 
-  void MaybeAutoRecompress();
-  void NoteDamage(const std::vector<LabelId>& rules);
+  // The body of every mutator: runs `edit` on a clone of the grammar
+  // and publishes the clone as the next version — noting its damage,
+  // counting the update and recompressing when auto_recompress_every
+  // is due — or returns edit's error with the tree untouched.
+  Status Update(const std::function<Status(Grammar*, BatchUpdater*)>& edit);
 
   std::shared_ptr<const GrammarSnapshot> snap_;
   UpdateOptions options_;

@@ -1,61 +1,84 @@
 #include "src/core/cursor.h"
 
+#include <memory>
 #include <utility>
-
-#include "src/grammar/rule_summary.h"
 
 namespace slg {
 
+namespace {
+
+using BodyNode = RuleSummary::BodyNode;
+
+// Position of the i-th (1-based) child of position p; -1 when p has
+// fewer than i children.
+int32_t ChildPos(const BodyNode* b, int32_t p, int i) {
+  int k = 1;
+  for (int32_t c = p + 1; c < b[p].end; c = b[c].end, ++k) {
+    if (k == i) return c;
+  }
+  return -1;
+}
+
+// 1-based index of position c under its parent.
+int ChildIndex(const BodyNode* b, int32_t c) {
+  int i = 1;
+  for (int32_t s = b[c].parent + 1; s != c; s = b[s].end) ++i;
+  return i;
+}
+
+}  // namespace
+
 GrammarCursor::GrammarCursor(const Grammar* g)
-    : GrammarCursor(g, std::make_shared<const RuleMeta>(
-                           RuleMeta::Build(*g, /*with_sizes=*/false))) {}
+    : GrammarCursor(g, std::make_shared<const RuleSummary>(
+                           RuleSummary::Build(*g))) {}
 
 GrammarCursor::GrammarCursor(const Grammar* g,
-                             std::shared_ptr<const RuleMeta> meta)
-    : g_(g), meta_(std::move(meta)) {
+                             std::shared_ptr<const RuleSummary> summary)
+    : g_(g), summary_(std::move(summary)) {
   ToRoot();
 }
 
 void GrammarCursor::ToRoot() {
   stack_.clear();
-  cur_rule_ = g_->start();
-  cur_ = meta_->RhsRoot(cur_rule_);
+  body_ = summary_->Body(g_->start());
+  cur_ = 0;
   depth_ = 0;
   ResolveDown();
 }
 
 void GrammarCursor::ResolveDown() {
-  // The boundary crossings live in the shared summary-layer helper
-  // (ResolveToTerminal): a parameter pops to the instantiating call's
-  // argument, a call pushes a frame and enters the callee at its root.
-  ResolveToTerminal(
-      *meta_, cur_rule_, cur_,
-      [&]() -> std::pair<LabelId, NodeId> {
-        SLG_CHECK_MSG(!stack_.empty(), "parameter at derivation top");
-        Frame f = stack_.back();
-        stack_.pop_back();
-        return {f.rule, f.call};
-      },
-      [&](LabelId) {
-        stack_.push_back(Frame{cur_rule_, cur_});
-        return true;
-      });
+  // A parameter y_j continues at the j-th argument of the call one
+  // frame up, in the caller's body; a call pushes a frame and enters
+  // the callee's body root, which derives the same node.
+  for (;;) {
+    const BodyNode& n = body_[cur_];
+    if (n.kind > 0) {
+      SLG_CHECK_MSG(!stack_.empty(), "parameter at derivation top");
+      Frame f = stack_.back();
+      stack_.pop_back();
+      body_ = f.body;
+      cur_ = ChildPos(f.body, f.call, n.kind);
+    } else if (n.kind == RuleSummary::kCallKind) {
+      stack_.push_back(Frame{body_, cur_});
+      body_ = summary_->Body(n.label);
+      cur_ = 0;
+    } else {
+      return;  // terminal
+    }
+  }
 }
 
-LabelId GrammarCursor::Label() const {
-  return RuleTree(cur_rule_).label(cur_);
-}
+LabelId GrammarCursor::Label() const { return body_[cur_].label; }
 
 const std::string& GrammarCursor::LabelName() const {
   return g_->labels().Name(Label());
 }
 
-int GrammarCursor::NumChildren() const { return meta_->Rank(Label()); }
+int GrammarCursor::NumChildren() const { return g_->labels().Rank(Label()); }
 
 bool GrammarCursor::Down(int i) {
-  const Tree& t = RuleTree(cur_rule_);
-  NodeId c = t.Child(cur_, i);
-  if (c == kNilNode) return false;
+  int32_t c = ChildPos(body_, cur_, i);
+  if (c < 0) return false;
   cur_ = c;
   ++depth_;
   ResolveDown();
@@ -66,15 +89,13 @@ int GrammarCursor::DerivedChildIndex() const {
   // Index of the current derived node under its derived parent (0 at
   // the derived root): walk the same boundaries Up() crosses, without
   // moving the cursor.
-  const RuleMeta& meta = *meta_;
-  const Tree* t = &RuleTree(cur_rule_);
-  LabelId rule = cur_rule_;
-  NodeId c = cur_;
+  const BodyNode* b = body_;
+  int32_t c = cur_;
   size_t frames_left = stack_.size();
   std::vector<Frame> extra;  // frames pushed while crossing arguments
   for (;;) {
-    NodeId p = t->parent(c);
-    if (p == kNilNode) {
+    int32_t p = b[c].parent;
+    if (p < 0) {
       Frame f;
       if (!extra.empty()) {
         f = extra.back();
@@ -84,46 +105,44 @@ int GrammarCursor::DerivedChildIndex() const {
       } else {
         return 0;  // derived root
       }
-      rule = f.rule;
-      t = &RuleTree(rule);
+      b = f.body;
       c = f.call;
       continue;
     }
-    if (meta.IsNonterminal(t->label(p))) {
-      int j = t->ChildIndex(c);
-      extra.push_back(Frame{rule, p});
-      rule = t->label(p);
-      t = &RuleTree(rule);
-      c = meta.ParamNode(rule, j);
+    if (b[p].kind == RuleSummary::kCallKind) {
+      int j = ChildIndex(b, c);
+      extra.push_back(Frame{b, p});
+      const LabelId callee = b[p].label;
+      b = summary_->Body(callee);
+      c = summary_->ParamPos(callee, j);
       continue;
     }
-    return t->ChildIndex(c);
+    return ChildIndex(b, c);
   }
 }
 
 bool GrammarCursor::Up() {
-  const RuleMeta& meta = *meta_;
   for (;;) {
-    const Tree& t = RuleTree(cur_rule_);
-    NodeId p = t.parent(cur_);
-    if (p == kNilNode) {
+    const BodyNode* b = body_;
+    int32_t p = b[cur_].parent;
+    if (p < 0) {
       // Root of a rule body: the derived parent is around the
       // instantiating call, one frame up.
       if (stack_.empty()) return false;  // derived root
       Frame f = stack_.back();
       stack_.pop_back();
-      cur_rule_ = f.rule;
+      body_ = f.body;
       cur_ = f.call;
       continue;
     }
-    LabelId pl = t.label(p);
-    if (meta.IsNonterminal(pl)) {
+    if (b[p].kind == RuleSummary::kCallKind) {
       // Current node is the j-th argument of a call: the derived
       // parent is the parent of the j-th parameter inside the callee.
-      int j = t.ChildIndex(cur_);
-      stack_.push_back(Frame{cur_rule_, p});
-      cur_rule_ = pl;
-      cur_ = meta.ParamNode(pl, j);
+      int j = ChildIndex(b, cur_);
+      stack_.push_back(Frame{body_, p});
+      const LabelId callee = b[p].label;
+      body_ = summary_->Body(callee);
+      cur_ = summary_->ParamPos(callee, j);
       continue;
     }
     cur_ = p;
@@ -134,13 +153,13 @@ bool GrammarCursor::Up() {
 
 bool GrammarCursor::Right() {
   // Fast path: when the in-rule parent is a terminal, the derived
-  // siblings are exactly the rule-tree siblings — one link hop, no
-  // cursor copy, no Up/Down round trip.
-  const Tree& t = RuleTree(cur_rule_);
-  NodeId p = t.parent(cur_);
-  if (p != kNilNode && !meta_->IsNonterminal(t.label(p))) {
-    NodeId s = t.next_sibling(cur_);
-    if (s == kNilNode) return false;
+  // siblings are exactly the body's siblings — one hop, no cursor
+  // copy, no Up/Down round trip.
+  const BodyNode* b = body_;
+  int32_t p = b[cur_].parent;
+  if (p >= 0 && b[p].kind != RuleSummary::kCallKind) {
+    int32_t s = b[cur_].end;
+    if (s >= b[p].end) return false;
     cur_ = s;
     ResolveDown();
     return true;
@@ -155,11 +174,12 @@ bool GrammarCursor::Right() {
 }
 
 bool GrammarCursor::Left() {
-  const Tree& t = RuleTree(cur_rule_);
-  NodeId p = t.parent(cur_);
-  if (p != kNilNode && !meta_->IsNonterminal(t.label(p))) {
-    NodeId s = t.prev_sibling(cur_);
-    if (s == kNilNode) return false;
+  const BodyNode* b = body_;
+  int32_t p = b[cur_].parent;
+  if (p >= 0 && b[p].kind != RuleSummary::kCallKind) {
+    if (cur_ == p + 1) return false;
+    int32_t s = p + 1;
+    while (b[s].end != cur_) s = b[s].end;
     cur_ = s;
     ResolveDown();
     return true;

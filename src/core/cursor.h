@@ -3,15 +3,19 @@
 // The paper's premise is that SLCF grammars are "queryable without
 // decompression" (citing the traversal results of [2,4]); this cursor
 // provides that capability: constant-space-per-level navigation over
-// the derived tree, maintaining a stack of (rule, node) frames through
-// call and parameter boundaries. Down/Up are amortized O(grammar
-// depth); the cursor never materializes any part of the tree.
+// the derived tree, maintaining a stack of (rule, position) frames
+// through call and parameter boundaries. Down/Up are amortized
+// O(grammar depth); the cursor never materializes any part of the
+// tree.
 //
-// Per-step rule metadata (is-nonterminal, rank, param index, rhs root,
-// parameter positions) comes from a RuleMeta snapshot built once at
-// construction — flat arrays indexed by LabelId instead of the
-// grammar's hash lookups — and is shared between cursor copies, so
-// copying a cursor stays cheap (frame stack + refcount).
+// The cursor walks the compiled rule bodies of a RuleSummary
+// (grammar/rule_summary.h): a place is a (rule, preorder position)
+// pair, the first child of position i is i + 1, the next sibling of c
+// is end[c], and each position stores its parent; a call is left for
+// the callee's body root and re-entered from the parameter position
+// the summary stores per segment slot. The summary is shared between
+// cursor copies (and with the snapshot that built it), so copying a
+// cursor stays cheap (frame stack + refcount).
 //
 // Navigation operates on the binary encoding; element-level helpers
 // (FirstChildElement / NextSiblingElement) skip the ⊥ slots.
@@ -27,20 +31,19 @@
 #include <vector>
 
 #include "src/grammar/grammar.h"
-#include "src/grammar/rule_meta.h"
+#include "src/grammar/rule_summary.h"
 
 namespace slg {
 
 class GrammarCursor {
  public:
   // Positions the cursor at the root of val(g). The grammar must be
-  // valid and non-empty. Builds the RuleMeta snapshot (one pass over
-  // the grammar).
+  // valid and non-empty. Builds the RuleSummary of g.
   explicit GrammarCursor(const Grammar* g);
 
-  // Shares `meta` (which must be a snapshot of *g) instead of building
+  // Shares `summary` (which must be built from *g) instead of building
   // a fresh one — for callers creating many short-lived cursors.
-  GrammarCursor(const Grammar* g, std::shared_ptr<const RuleMeta> meta);
+  GrammarCursor(const Grammar* g, std::shared_ptr<const RuleSummary> summary);
 
   // Label of the current derived node.
   LabelId Label() const;
@@ -79,15 +82,15 @@ class GrammarCursor {
   bool ParentElement();
 
  private:
+  using BodyNode = RuleSummary::BodyNode;
+
   struct Frame {
-    LabelId rule;
-    NodeId call;  // call node in this rule whose callee we are inside
+    const BodyNode* body;  // the caller's compiled body
+    int32_t call;  // call position in it whose callee we are inside
   };
 
-  const Tree& RuleTree(LabelId rule) const { return meta_->Rhs(rule); }
-
   // Resolves cur_ (which may sit on a parameter or a call) to a
-  // terminal node, adjusting the frame stack.
+  // terminal position, adjusting the frame stack.
   void ResolveDown();
 
   // 1-based index of the current derived node under its derived
@@ -95,12 +98,12 @@ class GrammarCursor {
   int DerivedChildIndex() const;
 
   const Grammar* g_;
-  std::shared_ptr<const RuleMeta> meta_;
-  // Stack of enclosing call sites; the current position is node cur_
-  // within rule cur_rule_.
+  std::shared_ptr<const RuleSummary> summary_;
+  // Stack of enclosing call sites; the current place is position cur_
+  // of the compiled body body_.
   std::vector<Frame> stack_;
-  LabelId cur_rule_ = kNoLabel;
-  NodeId cur_ = kNilNode;
+  const BodyNode* body_ = nullptr;
+  int32_t cur_ = 0;
   int depth_ = 0;
 };
 

@@ -12,11 +12,6 @@ using Piece = RuleSummary::Piece;
 
 SnapshotNav::SnapshotNav(const RuleSummary* summary) : summary_(summary) {}
 
-SnapshotNav::SnapshotNav(const Grammar* g, const RuleMeta* meta)
-    : owned_summary_(std::make_shared<const RuleSummary>(
-          RuleSummary::Build(*g, *meta))),
-      summary_(owned_summary_.get()) {}
-
 StatusOr<LabelId> SnapshotNav::LabelAt(int64_t preorder) const {
   if (preorder < 1 || preorder > DerivedSize()) {
     return Status::OutOfRange("preorder position outside the document");

@@ -30,20 +30,16 @@
 //
 // A SnapshotNav borrows a RuleSummary and must be discarded after any
 // mutation of the grammar it was built from — GrammarSnapshot
-// (service/) bundles both with shared ownership. The two-argument
-// constructor builds (and owns) the summary itself, for standalone
-// use. Queries are const and touch no mutable state, so any number of
-// threads may query one instance concurrently.
+// (service/) bundles both with shared ownership. Queries are const and
+// touch no mutable state, so any number of threads may query one
+// instance concurrently.
 
 #ifndef SLG_CORE_SNAPSHOT_NAV_H_
 #define SLG_CORE_SNAPSHOT_NAV_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "src/common/status.h"
-#include "src/grammar/grammar.h"
-#include "src/grammar/rule_meta.h"
 #include "src/grammar/rule_summary.h"
 
 namespace slg {
@@ -52,10 +48,6 @@ class SnapshotNav {
  public:
   // Borrows summary for its lifetime; does no work of its own.
   explicit SnapshotNav(const RuleSummary* summary);
-
-  // Convenience: builds and owns the RuleSummary of g (meta must be a
-  // with-sizes snapshot of g).
-  SnapshotNav(const Grammar* g, const RuleMeta* meta);
 
   SnapshotNav(SnapshotNav&&) = default;
   SnapshotNav& operator=(SnapshotNav&&) = default;
@@ -74,7 +66,6 @@ class SnapshotNav {
   StatusOr<int64_t> FindLabel(LabelId want, int64_t k) const;
 
  private:
-  std::shared_ptr<const RuleSummary> owned_summary_;  // two-arg ctor only
   const RuleSummary* summary_;
 };
 

@@ -1,93 +1,20 @@
-// RuleMeta — flat, cache-resident per-label metadata for the
-// navigation hot paths.
+// RuleMeta — an empty tag type with a Build that does no work.
 //
-// GrammarCursor, path isolation and the size computations all need the
-// same per-rule facts on every step: is this label a nonterminal, what
-// is its rank, where is its right-hand side's root, where does its
-// j-th parameter sit, and how large are its parameter segments
-// (paper §III-A). The Grammar answers these through unordered_map
-// lookups (rule_index_) and tree searches (FindParamNode) — hash
-// tables on the critical path. A RuleMeta is a snapshot of those
-// answers in contiguous vectors indexed by LabelId, so every per-step
-// query is a bounds-free array load.
-//
-// A RuleMeta is a *snapshot*: it borrows the grammar's rule trees and
-// must be discarded after any mutation of the grammar's rule set or
-// label table. Mutating the *interior* of an rhs tree (e.g. path
-// isolation inlining calls into the start rule) keeps the snapshot
-// valid: rule identity, ranks, roots, parameters and segment sizes of
-// the rules themselves are unchanged.
+// The per-rule record is RuleSummary (rule_summary.h). This header
+// stays for one caller: the end-to-end benchmark's write replay
+// (e2ebench/e2e_bench.cc) times a "grammar.rule_meta" leg around
+// RuleMeta::Build and passes its result to RuleSummary::Build. Build
+// returns at once, so that leg measures about zero.
 
 #ifndef SLG_GRAMMAR_RULE_META_H_
 #define SLG_GRAMMAR_RULE_META_H_
 
-#include <cstdint>
-#include <vector>
-
-#include "src/grammar/grammar.h"
-
 namespace slg {
 
-class RuleMeta {
- public:
-  // Builds the structural tables; when `with_sizes` is set, also the
-  // flattened parameter-segment sizes (one extra bottom-up grammar
-  // pass — skip it for pure cursor navigation, which never needs
-  // sizes).
-  static RuleMeta Build(const Grammar& g, bool with_sizes);
+class Grammar;
 
-  // Appends entries for labels interned after this snapshot was built.
-  // Only valid while the rule set is unchanged — every new label must
-  // be a terminal (or parameter), e.g. fresh rename targets during a
-  // batched update run. Keeps the snapshot usable without the full
-  // O(|G|) rebuild.
-  void ExtendForNewLabels(const Grammar& g);
-
-  int num_labels() const { return static_cast<int>(rank_.size()); }
-
-  bool IsNonterminal(LabelId l) const {
-    return rhs_[static_cast<size_t>(l)] != nullptr;
-  }
-  int Rank(LabelId l) const { return rank_[static_cast<size_t>(l)]; }
-  // 1-based parameter index, 0 when l is not a parameter.
-  int ParamIndex(LabelId l) const {
-    return param_index_[static_cast<size_t>(l)];
-  }
-
-  // Right-hand side of nonterminal l (IsNonterminal must hold).
-  const Tree& Rhs(LabelId l) const { return *rhs_[static_cast<size_t>(l)]; }
-  NodeId RhsRoot(LabelId l) const { return rhs_root_[static_cast<size_t>(l)]; }
-
-  // Node of parameter y_j (1-based) in l's right-hand side.
-  NodeId ParamNode(LabelId l, int j) const {
-    return param_nodes_[static_cast<size_t>(
-        param_offset_[static_cast<size_t>(l)] + j - 1)];
-  }
-
-  // size(l, i) for i in 0..Rank(l): nodes of val(l) before y1, between
-  // consecutive parameters, and after the last one. Only available
-  // when built with_sizes.
-  int64_t SegSize(LabelId l, int i) const {
-    return seg_sizes_[static_cast<size_t>(
-        seg_offset_[static_cast<size_t>(l)] + i)];
-  }
-  // Total nodes of val(l) excluding parameter substitutions; 1 for
-  // terminals (their own node), 0 for parameters.
-  int64_t SegTotal(LabelId l) const {
-    return seg_total_[static_cast<size_t>(l)];
-  }
-
- private:
-  // All vectors below are indexed by LabelId (size = labels().size()).
-  std::vector<int32_t> rank_;
-  std::vector<int32_t> param_index_;
-  std::vector<const Tree*> rhs_;       // nullptr for non-rules
-  std::vector<NodeId> rhs_root_;       // kNilNode for non-rules
-  std::vector<int32_t> param_offset_;  // into param_nodes_; -1 non-rules
-  std::vector<NodeId> param_nodes_;    // Rank(l) entries per rule
-  std::vector<int32_t> seg_offset_;    // into seg_sizes_; -1 non-rules
-  std::vector<int64_t> seg_sizes_;     // Rank(l)+1 entries per rule
-  std::vector<int64_t> seg_total_;
+struct RuleMeta {
+  static RuleMeta Build(const Grammar&, bool /*with_sizes*/) { return {}; }
 };
 
 }  // namespace slg

@@ -6,55 +6,40 @@
 
 namespace slg {
 
-std::vector<int64_t> ComputeStaticSizes(const Tree& t, const RuleMeta& meta) {
-  std::vector<NodeId> order = t.Preorder();
-  NodeId max_id = 0;
-  for (NodeId v : order) max_id = std::max(max_id, v);
-  std::vector<int64_t> sizes(static_cast<size_t>(max_id) + 1, 0);
-  // Children before parents. SegTotal is 1 for terminals, 0 for
-  // parameters and the flattened segment total for nonterminals — all
-  // a single array load.
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    NodeId v = *it;
-    int64_t n = meta.SegTotal(t.label(v));
-    for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
-      n = SizeSatAdd(n, sizes[static_cast<size_t>(c)]);
-    }
-    sizes[static_cast<size_t>(v)] = n;
-  }
-  return sizes;
-}
-
-RuleSummary RuleSummary::Build(const Grammar& g, const RuleMeta& meta) {
+RuleSummary RuleSummary::Build(const Grammar& g) {
+  const LabelTable& labels = g.labels();
   RuleSummary s;
-  s.rules_.resize(static_cast<size_t>(meta.num_labels()));
+  s.rules_.resize(static_cast<size_t>(labels.size()));
   s.start_ = g.start();
 
-  // Pass 1, per rule body: compile the body into preorder positions
-  // (label, kind, subtree end), then one bottom-up sweep over the
-  // positions for static sizes and parameter intervals; also sizes
-  // the piece and slot tables so that pass 2 fills them without
-  // growing.
+  // Pass 1, per rule body in any order: compile the body into preorder
+  // positions (label, kind, subtree end, parent), and bound the piece
+  // and slot tables so that pass 2 fills them without growing.
   size_t live = 0;
   g.ForEachRule([&](LabelId, const Tree& t) {
     live += static_cast<size_t>(t.LiveCount());
   });
   s.nodes_.reserve(live);
-  size_t num_pieces = 0;
+  size_t max_pieces = 0;
   size_t num_slots = 0;
   std::vector<int32_t> open;  // positions of the subtrees being emitted
   g.ForEachRule([&](LabelId lhs, const Tree& t) {
     Rule& r = s.rules_[static_cast<size_t>(lhs)];
     r.body_first = s.nodes_.size();
-    num_slots += static_cast<size_t>(meta.Rank(lhs)) + 1;
-    const NodeId root = meta.RhsRoot(lhs);
+    num_slots += static_cast<size_t>(labels.Rank(lhs)) + 1;
+    const NodeId root = t.root();
     auto here = [&] {
       return static_cast<int32_t>(s.nodes_.size() - r.body_first);
     };
     for (NodeId v = root; v != kNilNode;) {
       LabelId l = t.label(v);
-      int32_t kind = meta.ParamIndex(l);
-      if (kind == 0 && meta.IsNonterminal(l)) kind = kCallKind;
+      int32_t kind = labels.ParamIndex(l);
+      if (kind == 0 && g.HasRule(l)) {
+        kind = kCallKind;
+        max_pieces += static_cast<size_t>(labels.Rank(l)) + 1;
+      } else if (kind == 0) {
+        ++max_pieces;
+      }
       const int32_t parent = open.empty() ? -1 : open.back();
       open.push_back(here());
       s.nodes_.push_back(BodyNode{l, kind, 0, parent, kNoParamBelow, 0, 0});
@@ -78,24 +63,38 @@ RuleSummary RuleSummary::Build(const Grammar& g, const RuleMeta& meta) {
       }
     }
     r.body_size = here();
+  });
+
+  // Pass 2, callees before callers — everything here needs the
+  // callee's version. Per rule, a bottom-up sweep over the positions
+  // gives static sizes and parameter intervals; then one walk of the
+  // body in derived order gives the label filter, the element total,
+  // the piece table and the segment sizes. A step of the walk either
+  // visits a position or, at a call, emits one of the callee's
+  // segments; a call emits segment 0, then argument i followed by
+  // segment i for i = 1..m.
+  SLG_CHECK(max_pieces < std::numeric_limits<uint32_t>::max());
+  s.pieces_.reserve(max_pieces);
+  s.slot_first_.resize(num_slots + 1);
+  s.seg_sizes_.assign(num_slots, 0);
+  s.param_pos_.assign(num_slots, -1);
+  struct Step {
+    int32_t i;
+    int32_t seg;  // < 0: visit i; else emit this segment of i's callee
+  };
+  std::vector<Step> stack;
+  int32_t next_slot = 0;
+  for (LabelId rule : AntiSlOrder(g)) {
+    Rule& r = s.rules_[static_cast<size_t>(rule)];
     BodyNode* b = s.nodes_.data() + r.body_first;
-    // Children before parents. SegTotal is 1 for terminals, 0 for
-    // parameters and the flattened segment total for nonterminals —
-    // all a single array load.
     for (int32_t i = r.body_size - 1; i >= 0; --i) {
       BodyNode& n = b[i];
-      int64_t size = meta.SegTotal(n.label);
+      int64_t size = n.kind == kCallKind
+                         ? s.rules_[static_cast<size_t>(n.label)].material_size
+                         : n.kind == kTerminalKind ? 1 : 0;
       int32_t lo = kNoParamBelow;
       int32_t hi = 0;
-      if (n.kind > 0) {
-        lo = hi = n.kind;
-      } else if (n.kind == kCallKind) {
-        for (int j = 0; j <= meta.Rank(n.label); ++j) {
-          if (meta.SegSize(n.label, j) > 0) ++num_pieces;
-        }
-      } else {
-        ++num_pieces;
-      }
+      if (n.kind > 0) lo = hi = n.kind;
       for (int32_t c = i + 1; c < n.end; c = b[c].end) {
         size = SizeSatAdd(size, b[c].static_size);
         lo = std::min(lo, b[c].param_lo);
@@ -105,32 +104,14 @@ RuleSummary RuleSummary::Build(const Grammar& g, const RuleMeta& meta) {
       n.param_lo = lo;
       n.param_hi = hi;
     }
-  });
-
-  // Pass 2, callees before callers: label filters, element totals and
-  // piece tables (each needs the callee's version), from one walk of
-  // each body in derived order. A step either visits a position or,
-  // at a call, emits one of the callee's segments; a call emits
-  // segment 0, then argument i followed by segment i for i = 1..m.
-  SLG_CHECK(num_pieces < std::numeric_limits<uint32_t>::max());
-  s.pieces_.reserve(num_pieces);
-  s.slot_first_.resize(num_slots + 1);
-  struct Step {
-    int32_t i;
-    int32_t seg;  // < 0: visit i; else emit this segment of i's callee
-  };
-  std::vector<Step> stack;
-  int32_t next_slot = 0;
-  for (LabelId rule : AntiSlOrder(g)) {
-    Rule& r = s.rules_[static_cast<size_t>(rule)];
-    const BodyNode* b = s.Body(rule);
     r.material_size = b[0].static_size;
     r.first_slot = next_slot;
-    next_slot += meta.Rank(rule) + 1;
+    next_slot += labels.Rank(rule) + 1;
     s.slot_first_[static_cast<size_t>(r.first_slot)] =
         static_cast<uint32_t>(s.pieces_.size());
     int64_t at = 0;  // material nodes emitted so far
     int64_t elems = 0;
+    int cur = 0;  // the segment being filled: the last parameter seen
     auto push_children = [&](int32_t i, bool with_segments) {
       size_t mark = stack.size();
       int32_t seg = 1;
@@ -141,11 +122,16 @@ RuleSummary RuleSummary::Build(const Grammar& g, const RuleMeta& meta) {
       std::reverse(stack.begin() + static_cast<std::ptrdiff_t>(mark),
                    stack.end());
     };
-    auto emit_segment = [&](LabelId callee, int j) {
-      int64_t size = meta.SegSize(callee, j);
-      if (size == 0) return;
-      s.pieces_.push_back(Piece{at, callee, s.SegSlot(callee, j)});
+    auto emit = [&](LabelId label, int32_t slot, int64_t size) {
+      s.pieces_.push_back(Piece{at, label, slot});
       at = SizeSatAdd(at, size);
+      int64_t& seg = s.seg_sizes_[static_cast<size_t>(r.first_slot + cur)];
+      seg = SizeSatAdd(seg, size);
+    };
+    auto emit_segment = [&](LabelId callee, int j) {
+      int32_t slot = s.SegSlot(callee, j);
+      int64_t size = s.seg_sizes_[static_cast<size_t>(slot)];
+      if (size > 0) emit(callee, slot, size);
     };
     stack.push_back(Step{0, -1});
     while (!stack.empty()) {
@@ -155,8 +141,11 @@ RuleSummary RuleSummary::Build(const Grammar& g, const RuleMeta& meta) {
       if (step.seg >= 0) {
         emit_segment(n.label, step.seg);
       } else if (n.kind > 0) {
-        s.slot_first_[static_cast<size_t>(r.first_slot + n.kind)] =
-            static_cast<uint32_t>(s.pieces_.size());
+        SLG_CHECK_MSG(n.kind == cur + 1, "parameters not in preorder order");
+        cur = n.kind;
+        const size_t slot = static_cast<size_t>(r.first_slot + cur);
+        s.slot_first_[slot] = static_cast<uint32_t>(s.pieces_.size());
+        s.param_pos_[slot] = step.i;
       } else if (n.kind == kCallKind) {
         const Rule& cr = s.rules_[static_cast<size_t>(n.label)];
         for (size_t i = 0; i < 4; ++i) r.filter[i] |= cr.filter[i];
@@ -167,18 +156,18 @@ RuleSummary RuleSummary::Build(const Grammar& g, const RuleMeta& meta) {
         uint32_t h = FilterHash(n.label);
         r.filter[h >> 6] |= uint64_t{1} << (h & 63);
         if (n.label != kNullLabel) elems = SizeSatAdd(elems, 1);
-        s.pieces_.push_back(Piece{at, n.label, kTerminal});
-        at = SizeSatAdd(at, 1);
+        emit(n.label, kTerminal, 1);
         push_children(step.i, /*with_segments=*/false);
       }
     }
+    SLG_CHECK_MSG(cur == labels.Rank(rule),
+                  "rule does not use all its parameters");
     r.material_elements = elems;
   }
-  SLG_CHECK(s.pieces_.size() == num_pieces &&
-            static_cast<size_t>(next_slot) == num_slots);
-  s.slot_first_[num_slots] = static_cast<uint32_t>(num_pieces);
+  SLG_CHECK(static_cast<size_t>(next_slot) == num_slots);
+  s.slot_first_[num_slots] = static_cast<uint32_t>(s.pieces_.size());
 
-  s.derived_size_ = s.Body(s.start_)[0].static_size;
+  s.derived_size_ = s.rules_[static_cast<size_t>(s.start_)].material_size;
   s.derived_elements_ = s.rules_[static_cast<size_t>(s.start_)].material_elements;
   return s;
 }

@@ -1,14 +1,13 @@
-// RuleSummary — the shared per-rule summary layer of the read stack.
+// RuleSummary — the one per-rule record of the library.
 //
-// Every read surface used to re-derive the same per-rule facts
-// privately: SnapshotNav built static-size/parameter-interval tables
-// in its constructor, GrammarCursor kept its own descent
-// boundary-resolution loop, and snapshot statistics re-walked the DAG
-// through ValueElementCount. A RuleSummary is
-// that knowledge computed once — at snapshot publish time, off the
-// writer lock — and consumed by SnapshotNav, the CompressedXmlTree /
-// DocumentService read surfaces and the query engine (src/query/),
-// which evaluates over the compiled bodies below.
+// Path isolation, the cursor, point reads and the query engine all
+// need the same per-rule facts: the rule body in a walkable form, its
+// parameter-segment sizes (paper §III-A), element counts and a label
+// index. A RuleSummary computes them once per grammar version — at
+// snapshot publish time, off the writer lock, and once per write batch
+// for path isolation — and every read surface shares it. Structural
+// facts of labels (is it a rule, its rank, its parameter index) are
+// flat array loads on Grammar and LabelTable and are not copied here.
 //
 // Per rule it stores the rule body compiled once into a flat array in
 // preorder: position 0 is the root, the first child of position i is
@@ -19,8 +18,8 @@
 //   end — one past the last position of the node's subtree, and the
 //       parent's position;
 //   static_size — nodes of the tree the node derives with every
-//       parameter substituted by the empty context (sum of SegTotal
-//       over the subtree);
+//       parameter substituted by the empty context (terminals count
+//       1, calls their callee's material size);
 //   the contiguous interval of parameter indices occurring under it
 //       (parameters occur exactly once each, in preorder order — the
 //       TreeRePair invariant — so the indices under any subtree form
@@ -41,27 +40,29 @@
 //     val(rule) that does not come from a parameter; in derived
 //     preorder it is a sequence of pieces: each terminal of rhs(rule)
 //     is one piece of size 1, and each call to B of rank m is the m+1
-//     pieces of B's segments (size(B,0..m), RuleMeta::SegSize), with
-//     the call's arguments interleaved between them. A piece records
-//     its material start in val(rule), its label (the terminal, or the
-//     callee B) and, for a call piece, the slot of the callee segment
-//     it is. Empty segments get no piece.
+//     pieces of B's segments (SegSize(B, 0..m)), with the call's
+//     arguments interleaved between them. A piece records its material
+//     start in val(rule), its label (the terminal, or the callee B)
+//     and, for a call piece, the slot of the callee segment it is.
+//     Empty segments get no piece.
 //
 // Segment slots number every (rule, segment) pair of the grammar;
 // callees' slots precede their callers' and a rule's slots are
 // consecutive. Segment j of a rule is the material between its
-// parameters y_j and y_j+1, so its pieces are a contiguous run of the
-// rule's table: [SlotBegin(s), SlotEnd(s)) for s = SegSlot(rule, j).
-// Selecting a derived position is then one binary search per rule on
-// the way down (the random-access scheme for grammar-compressed
-// strings of Bille et al., SODA 2011, applied to the segments of a
-// tree grammar), and counting a label per segment is one linear pass
-// over the flat table (CountPerSlot).
+// parameters y_j and y_j+1; its size and, for j >= 1, the body
+// position of y_j are stored by slot, and its pieces are a contiguous
+// run of the rule's table: [SlotBegin(s), SlotEnd(s)) for
+// s = SegSlot(rule, j). Selecting a derived position is then one
+// binary search per rule on the way down (the random-access scheme for
+// grammar-compressed strings of Bille et al., SODA 2011, applied to
+// the segments of a tree grammar), and counting a label per segment is
+// one linear pass over the flat table (CountPerSlot).
 //
-// A RuleSummary is a snapshot: it borrows nothing but is only valid
-// for the grammar/meta it was built from and must be discarded after
-// any mutation. All queries are const — share one instance between
-// any number of threads.
+// A RuleSummary borrows nothing. It describes the grammar it was built
+// from; editing the start rule's body (path isolation) leaves the
+// other rules' entries valid, which is all BatchUpdater relies on.
+// Every other mutation needs a fresh build. All queries are const —
+// share one instance between any number of threads.
 
 #ifndef SLG_GRAMMAR_RULE_SUMMARY_H_
 #define SLG_GRAMMAR_RULE_SUMMARY_H_
@@ -69,7 +70,6 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
@@ -78,12 +78,6 @@
 #include "src/grammar/value.h"
 
 namespace slg {
-
-// Bottom-up static sizes for every node of one rule body (or the
-// start rule's tree), indexed by NodeId (dead ids hold 0) — the size
-// table BatchUpdater maintains incrementally for the start rule.
-// `meta` must be a with-sizes snapshot.
-std::vector<int64_t> ComputeStaticSizes(const Tree& t, const RuleMeta& meta);
 
 class RuleSummary {
  public:
@@ -112,10 +106,16 @@ class RuleSummary {
   };
   static constexpr int32_t kTerminal = -1;
 
-  // One preorder compile and one bottom-up pass per rule body, plus
-  // one anti-SL pass over the rule DAG. `meta` must be a with-sizes
-  // snapshot of g.
-  static RuleSummary Build(const Grammar& g, const RuleMeta& meta);
+  // One preorder compile per rule body, then one callee-first pass
+  // over the rule DAG: per rule a bottom-up sweep of its body and one
+  // walk in derived order.
+  static RuleSummary Build(const Grammar& g);
+
+  // The end-to-end benchmark's write replay times this overload after
+  // its no-op tag build (rule_meta.h); it is Build(g).
+  static RuleSummary Build(const Grammar& g, const RuleMeta&) {
+    return Build(g);
+  }
 
   RuleSummary(RuleSummary&&) = default;
   RuleSummary& operator=(RuleSummary&&) = default;
@@ -181,6 +181,16 @@ class RuleSummary {
   int32_t SegSlot(LabelId rule, int j) const {
     return rules_[static_cast<size_t>(rule)].first_slot + j;
   }
+  // size(rule, j) for j in 0..Rank(rule): material nodes of val(rule)
+  // before y1, between consecutive parameters, and after the last one
+  // (saturating). They add up to MaterialSize(rule).
+  int64_t SegSize(LabelId rule, int j) const {
+    return seg_sizes_[static_cast<size_t>(SegSlot(rule, j))];
+  }
+  // Body position of parameter y_j (1-based) of rule.
+  int32_t ParamPos(LabelId rule, int j) const {
+    return param_pos_[static_cast<size_t>(SegSlot(rule, j))];
+  }
   // The pieces of a segment slot, in derived order.
   const Piece* SlotBegin(int32_t slot) const {
     return pieces_.data() + slot_first_[static_cast<size_t>(slot)];
@@ -221,49 +231,17 @@ class RuleSummary {
   // Every rule's compiled body, one slice per rule.
   std::vector<BodyNode> nodes_;
   // Flat piece table of every rule, rules in callee-first order, and
-  // the index of each slot's first piece (plus one end sentinel). Both
-  // are allocated once, at their exact size.
+  // the index of each slot's first piece (plus one end sentinel).
   std::vector<Piece> pieces_;
   std::vector<uint32_t> slot_first_;
+  // By slot: the segment's size, and the position of the parameter
+  // opening it (-1 for segment 0).
+  std::vector<int64_t> seg_sizes_;
+  std::vector<int32_t> param_pos_;
   LabelId start_ = kNoLabel;
   int64_t derived_size_ = 0;
   int64_t derived_elements_ = 0;
 };
-
-// Boundary-resolution core of GrammarCursor::ResolveDown, over the
-// rule trees by NodeId (the query engine's first-match descent walks
-// the compiled bodies instead). Advances (rule, node) — which may sit
-// on a parameter or a call — across derivation boundaries until node
-// is a terminal of rule's body:
-//   * parameter y_j: pop() must remove the innermost frame and return
-//     the enclosing (rule, call-node) pair; the descent resumes at the
-//     call's j-th argument, in the caller's context;
-//   * call to B: push(B) is invoked with (rule, node) still at the
-//     call so the caller can capture its frame; returning true enters
-//     B's body root — the body root derives the same subtree as the
-//     call, so any position/count bookkeeping is unchanged — while
-//     false stops the resolution at the call node.
-template <typename PopFn, typename PushFn>
-inline void ResolveToTerminal(const RuleMeta& meta, LabelId& rule,
-                              NodeId& node, PopFn&& pop, PushFn&& push) {
-  for (;;) {
-    const Tree& t = meta.Rhs(rule);
-    LabelId l = t.label(node);
-    if (int pj = meta.ParamIndex(l); pj > 0) {
-      std::pair<LabelId, NodeId> up = pop();
-      rule = up.first;
-      node = meta.Rhs(rule).Child(up.second, pj);
-      continue;
-    }
-    if (meta.IsNonterminal(l)) {
-      if (!push(l)) return;
-      rule = l;
-      node = meta.RhsRoot(l);
-      continue;
-    }
-    return;  // terminal
-  }
-}
 
 }  // namespace slg
 

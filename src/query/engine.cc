@@ -29,11 +29,10 @@ struct MemoEntry {
 
 class Evaluator {
  public:
-  Evaluator(const Grammar& g, const RuleMeta& meta, const RuleSummary& sum,
+  Evaluator(const Grammar& g, const RuleSummary& sum,
             const QueryPlan& plan, const std::vector<LabelId>& bound,
             bool need_matches)
       : g_(g),
-        meta_(meta),
         sum_(sum),
         plan_(plan),
         bound_(bound),
@@ -142,7 +141,7 @@ class Evaluator {
               e != nullptr ? segs_[e->segs + static_cast<size_t>(j)] : 0;
           if (k <= in_seg) break;
           k -= in_seg;
-          pos = SizeSatAdd(pos, meta_.SegSize(v.label, j));
+          pos = SizeSatAdd(pos, sum_.SegSize(v.label, j));
           SLG_CHECK_MSG(a < v.end, "match counts inconsistent in descent");
           int64_t in_arg = MatchIn(f, a);
           if (k <= in_arg) {
@@ -293,7 +292,7 @@ class Evaluator {
   }
 
   void Begin(LabelId r, uint64_t q) {
-    const size_t rank = static_cast<size_t>(meta_.Rank(r));
+    const size_t rank = static_cast<size_t>(g_.labels().Rank(r));
     Pass p{r,        q, 0, sum_.BodySize(r), 0, 0, ctx_top_, exits_.size(),
            matches_.size(), segs_.size()};
     ctx_top_ += static_cast<size_t>(p.size);
@@ -430,7 +429,6 @@ class Evaluator {
   }
 
   const Grammar& g_;
-  const RuleMeta& meta_;
   const RuleSummary& sum_;
   const QueryPlan& plan_;
   const std::vector<LabelId>& bound_;
@@ -487,7 +485,7 @@ StatusOr<QueryResult> QueryEngine::Run(const QueryPlan& plan) const {
     if (positional_agg) return Status::NotFound("query has no matches");
     return res;
   }
-  Evaluator ev(*g_, *meta_, *summary_, plan, bound,
+  Evaluator ev(*g_, *summary_, plan, bound,
                /*need_matches=*/positional_agg);
   const MemoEntry& top = ev.Ensure(g_->start(), plan.InitialContext());
   res.count = top.count;

@@ -68,7 +68,6 @@
 
 #include "src/common/status.h"
 #include "src/grammar/grammar.h"
-#include "src/grammar/rule_meta.h"
 #include "src/grammar/rule_summary.h"
 #include "src/query/plan.h"
 #include "src/query/query.h"
@@ -95,12 +94,11 @@ struct QueryResult {
 
 class QueryEngine {
  public:
-  // Borrows g, meta (with sizes) and summary for its lifetime —
-  // GrammarSnapshot bundles all three. Stateless between runs; any
-  // number of threads may Run() on one instance concurrently.
-  QueryEngine(const Grammar* g, const RuleMeta* meta,
-              const RuleSummary* summary)
-      : g_(g), meta_(meta), summary_(summary) {}
+  // Borrows g and its summary for its lifetime — GrammarSnapshot
+  // bundles both. Stateless between runs; any number of threads may
+  // Run() on one instance concurrently.
+  QueryEngine(const Grammar* g, const RuleSummary* summary)
+      : g_(g), summary_(summary) {}
 
   StatusOr<QueryResult> Run(std::string_view query) const;
   StatusOr<QueryResult> Run(const Query& query) const;
@@ -108,7 +106,6 @@ class QueryEngine {
 
  private:
   const Grammar* g_;
-  const RuleMeta* meta_;
   const RuleSummary* summary_;
 };
 

@@ -318,10 +318,10 @@ void DocumentService::MergeOnce(std::unique_lock<std::mutex>& lk) {
                              options_.update);
   }();
   int64_t elapsed_us = static_cast<int64_t>(timer.ElapsedSeconds() * 1e6);
-  // Snapshot construction builds every read index — the with-sizes
-  // RuleMeta and the shared RuleSummary (label filters, piece
-  // tables) — so it runs here, off the lock; only the
-  // splice below needs mu_.
+  // Snapshot construction builds every read index — the shared
+  // RuleSummary (compiled bodies, segment sizes, label filters, piece
+  // tables) — so it runs here, off the lock; only the splice below
+  // needs mu_.
   std::shared_ptr<const GrammarSnapshot> base_snap =
       GrammarSnapshot::Make(std::move(merged.grammar), v);
 

@@ -14,10 +14,7 @@ namespace slg {
 
 GrammarSnapshot::GrammarSnapshot(Grammar g, int64_t version)
     : g_(std::move(g)),
-      meta_(std::make_shared<const RuleMeta>(
-          RuleMeta::Build(g_, /*with_sizes=*/true))),
-      summary_(std::make_shared<const RuleSummary>(
-          RuleSummary::Build(g_, *meta_))),
+      summary_(std::make_shared<const RuleSummary>(RuleSummary::Build(g_))),
       nav_(summary_.get()),
       version_(version),
       edges_(ComputeStats(g_).edge_count),
@@ -46,11 +43,11 @@ StatusOr<int64_t> GrammarSnapshot::FindElement(std::string_view tag,
 }
 
 StatusOr<QueryResult> GrammarSnapshot::RunQuery(std::string_view query) const {
-  return QueryEngine(&g_, meta_.get(), summary_.get()).Run(query);
+  return QueryEngine(&g_, summary_.get()).Run(query);
 }
 
 StatusOr<QueryResult> GrammarSnapshot::RunQuery(const Query& query) const {
-  return QueryEngine(&g_, meta_.get(), summary_.get()).Run(query);
+  return QueryEngine(&g_, summary_.get()).Run(query);
 }
 
 StatusOr<std::string> GrammarSnapshot::ToXml(bool pretty) const {
@@ -64,7 +61,7 @@ StatusOr<std::string> GrammarSnapshot::ToXml(bool pretty) const {
 }
 
 GrammarCursor GrammarSnapshot::Cursor() const {
-  return GrammarCursor(&g_, meta_);
+  return GrammarCursor(&g_, summary_);
 }
 
 StatusOr<std::shared_ptr<const GrammarSnapshot>> CompressXmlToSnapshot(

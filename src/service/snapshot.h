@@ -3,9 +3,10 @@
 //
 // The concurrency story of the whole service layer rests on one
 // invariant: a GrammarSnapshot never changes after construction. It
-// bundles a Grammar with everything reads need — a with-sizes RuleMeta
-// (cursor navigation), a SnapshotNav (derived-position queries) and
-// cached document statistics — all built eagerly inside Make() before
+// bundles a Grammar with everything reads need — its RuleSummary (the
+// per-rule record the cursor, the query engine and point reads share),
+// a SnapshotNav over it (derived-position queries) and cached document
+// statistics — all built eagerly inside Make() before
 // the shared_ptr ever escapes, so no reader can observe a
 // half-initialized index and no query path touches mutable state.
 // Any number of threads may call the const query methods concurrently.
@@ -34,7 +35,6 @@
 #include "src/core/cursor.h"
 #include "src/core/snapshot_nav.h"
 #include "src/grammar/grammar.h"
-#include "src/grammar/rule_meta.h"
 #include "src/grammar/rule_summary.h"
 #include "src/query/engine.h"
 
@@ -55,7 +55,6 @@ class GrammarSnapshot {
   GrammarSnapshot& operator=(const GrammarSnapshot&) = delete;
 
   const Grammar& grammar() const { return g_; }
-  const std::shared_ptr<const RuleMeta>& meta() const { return meta_; }
   const std::shared_ptr<const RuleSummary>& summary() const {
     return summary_;
   }
@@ -89,7 +88,7 @@ class GrammarSnapshot {
   // Serialized document (materializes the tree once).
   StatusOr<std::string> ToXml(bool pretty = false) const;
 
-  // Cursor over this version, sharing the snapshot's RuleMeta. The
+  // Cursor over this version, sharing the snapshot's RuleSummary. The
   // cursor borrows the grammar: keep the snapshot pointer alive for
   // the cursor's lifetime.
   GrammarCursor Cursor() const;
@@ -98,8 +97,7 @@ class GrammarSnapshot {
   GrammarSnapshot(Grammar g, int64_t version);
 
   Grammar g_;
-  std::shared_ptr<const RuleMeta> meta_;  // with_sizes, built over g_
-  std::shared_ptr<const RuleSummary> summary_;  // built over g_ and *meta_
+  std::shared_ptr<const RuleSummary> summary_;  // built over g_
   SnapshotNav nav_;  // borrows *summary_
   int64_t version_ = 0;
   int64_t edges_ = 0;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/grammar/inliner.h"
-#include "src/grammar/rule_summary.h"
 #include "src/grammar/stats.h"
 #include "src/grammar/value.h"
 #include "src/update/update_ops.h"
@@ -13,14 +12,19 @@
 
 namespace slg {
 
-void BatchUpdater::EnsureSnapshot() {
-  if (!have_snapshot_) {
-    meta_ = RuleMeta::Build(*g_, /*with_sizes=*/true);
-    derived_ = ComputeStaticSizes(g_->rhs(g_->start()), meta_);
-    have_snapshot_ = true;
-  } else if (meta_.num_labels() < g_->labels().size()) {
-    meta_.ExtendForNewLabels(*g_);
-  }
+void BatchUpdater::EnsureSummary() {
+  if (summary_.has_value()) return;
+  summary_.emplace(RuleSummary::Build(*g_));
+  // The compiled start body lists the start rule's nodes in preorder
+  // with their derived sizes.
+  const Tree& t = g_->rhs(g_->start());
+  const RuleSummary::BodyNode* b = summary_->Body(g_->start());
+  t.VisitPreorder(t.root(), [&](NodeId v) {
+    if (static_cast<size_t>(v) >= derived_.size()) {
+      derived_.resize(static_cast<size_t>(v) + 1, 0);
+    }
+    derived_[static_cast<size_t>(v)] = (b++)->static_size;
+  });
 }
 
 void BatchUpdater::NoteDamage(LabelId rule) {
@@ -39,7 +43,7 @@ void BatchUpdater::ComputeDerivedFresh(NodeId subtree_root) {
   derived_.resize(static_cast<size_t>(max_id) + 1, 0);
   for (auto it = fresh.rbegin(); it != fresh.rend(); ++it) {
     NodeId u = *it;
-    int64_t n = meta_.SegTotal(t.label(u));
+    int64_t n = OwnSize(t.label(u));
     for (NodeId c = t.first_child(u); c != kNilNode; c = t.next_sibling(c)) {
       n = SizeSatAdd(n, derived_of(c));
     }
@@ -50,7 +54,7 @@ void BatchUpdater::ComputeDerivedFresh(NodeId subtree_root) {
 void BatchUpdater::RecomputeUpward(NodeId from) {
   Tree& t = g_->rhs(g_->start());
   for (NodeId p = from; p != kNilNode; p = t.parent(p)) {
-    int64_t n = meta_.SegTotal(t.label(p));
+    int64_t n = OwnSize(t.label(p));
     for (NodeId c = t.first_child(p); c != kNilNode; c = t.next_sibling(c)) {
       n = SizeSatAdd(n, derived_of(c));
     }
@@ -62,7 +66,7 @@ StatusOr<NodeId> BatchUpdater::Isolate(int64_t preorder) {
   if (preorder < 1) {
     return Status::OutOfRange("preorder positions are 1-based");
   }
-  EnsureSnapshot();
+  EnsureSummary();
   Tree& t = g_->rhs(g_->start());
   if (preorder > derived_of(t.root())) {
     return Status::OutOfRange("preorder position " + std::to_string(preorder) +
@@ -70,14 +74,14 @@ StatusOr<NodeId> BatchUpdater::Isolate(int64_t preorder) {
                               std::to_string(derived_of(t.root())));
   }
 
-  // Path isolation (paper §III-A) against the batch-shared snapshot
-  // and size table: inline only the calls on the root-to-target spine.
+  // Path isolation (paper §III-A) against the batch's summary and size
+  // table: inline only the calls on the root-to-target spine.
   NodeId v = t.root();
   int64_t k = preorder;  // target is the k-th node of v's derived subtree
   for (;;) {
     LabelId l = t.label(v);
-    SLG_CHECK(meta_.ParamIndex(l) == 0);
-    if (!meta_.IsNonterminal(l)) {
+    SLG_CHECK(!g_->labels().IsParam(l));
+    if (!g_->HasRule(l)) {
       if (k == 1) return v;
       k -= 1;
       NodeId c = t.first_child(v);
@@ -90,13 +94,13 @@ StatusOr<NodeId> BatchUpdater::Isolate(int64_t preorder) {
       v = c;
       continue;
     }
-    int rank = meta_.Rank(l);
+    int rank = g_->labels().Rank(l);
     int64_t k2 = k;
     NodeId arg = t.first_child(v);
     NodeId descend = kNilNode;
     for (int i = 0; i < rank && arg != kNilNode;
          ++i, arg = t.next_sibling(arg)) {
-      int64_t body_seg = meta_.SegSize(l, i);
+      int64_t body_seg = summary_->SegSize(l, i);
       if (k2 <= body_seg) break;  // inside the body: inline
       k2 -= body_seg;
       int64_t n = derived_of(arg);
@@ -169,8 +173,7 @@ Status BatchUpdater::Rename(int64_t preorder, std::string_view new_label) {
   LabelId existing = g_->labels().Find(new_label);
   LabelId nl =
       existing != kNoLabel ? existing : g_->labels().Intern(new_label, 2);
-  meta_.ExtendForNewLabels(*g_);
-  // Old and new labels are both rank-2 terminals (SegTotal 1): no
+  // Old and new labels are both rank-2 terminals (one node each): no
   // derived size changes.
   t.set_label(u.value(), nl);
   NoteDamage(g_->start());
@@ -180,8 +183,8 @@ Status BatchUpdater::Rename(int64_t preorder, std::string_view new_label) {
 Status BatchUpdater::InsertBefore(int64_t preorder, const Tree& s) {
   if (s.empty()) return Status::InvalidArgument("empty insert fragment");
   // Fragment labels are caller-supplied too. Check them before
-  // anything is isolated: sizing the copy indexes the snapshot by
-  // label, the journal codec writes each node's table rank, so a node
+  // anything is isolated: sizing the copy looks each label up in the
+  // grammar, the journal codec writes each node's table rank, so a node
   // whose child count disagrees with it would not replay, and a node
   // labeled by a nonterminal or parameter would turn into a call or a
   // dangling parameter of the start rule.
@@ -218,8 +221,6 @@ Status BatchUpdater::InsertBefore(int64_t preorder, const Tree& s) {
     return Status::InvalidArgument(
         "insert fragment's rightmost leaf is not ⊥");
   }
-  // The fragment may carry labels interned after the snapshot.
-  meta_.ExtendForNewLabels(*g_);
   // Sizes of the copy, with the ⊥ hole still in place; the splice
   // below is repaired by one upward pass.
   ComputeDerivedFresh(copy);
@@ -298,10 +299,8 @@ Status BatchUpdater::Apply(const UpdateOp& op) {
 }
 
 int BatchUpdater::Finish() {
-  // Drop the snapshot first: it borrows rhs trees that garbage
-  // collection may remove.
-  have_snapshot_ = false;
-  meta_ = RuleMeta();
+  // The summary describes rules that garbage collection may remove.
+  summary_.reset();
   derived_.clear();
   derived_.shrink_to_fit();
   return CollectGarbageRules(g_);

@@ -1,17 +1,20 @@
 // Batched update engine (paper §V-C macro loop, amortized).
 //
-// The atomic operations in update_ops.h pay a full with-sizes RuleMeta
-// snapshot + derived-size pass per call, and DeleteSubtree garbage
-// collects after every single delete. Applying a workload through a
-// BatchUpdater instead amortizes all of that across the batch:
+// Path isolation needs every rule's parameter-segment sizes (paper
+// §III-A) and the derived size of every start-rule node. Applying a
+// workload through a BatchUpdater computes them once per batch instead
+// of once per operation, and garbage-collects once instead of after
+// every delete:
 //
-//  * one shared with-sizes RuleMeta snapshot, built lazily on the
-//    first operation and kept for the whole batch — rule-set shape
-//    never changes between operations (isolation only inlines into the
-//    start rule's interior; garbage collection is deferred), so the
-//    snapshot only ever needs cheap appends when a rename interns a
-//    fresh label (RuleMeta::ExtendForNewLabels);
-//  * the derived-subtree-size table of the start rule is maintained
+//  * one RuleSummary (grammar/rule_summary.h), built lazily on the
+//    first operation and kept for the whole batch — the rule set never
+//    changes between operations (isolation only inlines into the start
+//    rule's interior; garbage collection is deferred), and the summary
+//    is only read for the other rules. Labels interned mid-batch
+//    (rename targets, insert fragments) are terminals, which
+//    Grammar::HasRule tells apart without the summary;
+//  * the derived-subtree-size table of the start rule, seeded from the
+//    summary's compiled start body, is maintained
 //    incrementally: an edit recomputes the sizes of the fresh nodes it
 //    introduces plus the root-to-edit-point spine, O(depth) instead of
 //    O(|rhs|) per operation;
@@ -19,7 +22,7 @@
 //    delete.
 //
 // The sequence of tree edits is identical to applying the operations
-// one at a time — only snapshot reuse and garbage-collection timing
+// one at a time — only summary reuse and garbage-collection timing
 // are amortized — so the resulting grammar derives the same document
 // (tests assert the grammars are in fact identical).
 
@@ -27,6 +30,7 @@
 #define SLG_UPDATE_BATCH_H_
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <unordered_set>
 #include <vector>
@@ -35,7 +39,7 @@
 #include "src/common/status.h"
 #include "src/core/grammar_repair.h"
 #include "src/grammar/grammar.h"
-#include "src/grammar/rule_meta.h"
+#include "src/grammar/rule_summary.h"
 #include "src/workload/update_workload.h"
 #include "src/xml/xml_tree.h"
 
@@ -50,7 +54,7 @@ class BatchUpdater {
 
   // Same semantics (and same edit sequence on the start rule) as
   // RenameNode / InsertTreeBefore / DeleteSubtree in update_ops.h,
-  // minus the per-operation snapshot and garbage-collection costs.
+  // minus the per-operation summary and garbage-collection costs.
   Status Rename(int64_t preorder, std::string_view new_label);
   Status InsertBefore(int64_t preorder, const Tree& fragment);
   Status Delete(int64_t preorder);
@@ -60,15 +64,15 @@ class BatchUpdater {
 
   // Makes the node at `preorder` of val(G) terminally available in
   // the start rule and returns its NodeId there — path isolation
-  // against the shared snapshot. Also the batched counterpart of
+  // against the batch's summary. Also the batched counterpart of
   // ReadLabel-style inspection; the atomic operations in update_ops.cc
   // are thin one-op batches over this and the edit methods above.
   StatusOr<NodeId> Isolate(int64_t preorder);
 
-  // Ends the batch: drops the shared snapshot and garbage-collects
-  // rules stranded by deletes. Returns the number of rules removed.
-  // The updater is reusable afterwards (a new snapshot is built on the
-  // next operation). Damage accounting survives Finish() — a
+  // Ends the batch: drops the summary and the size table and
+  // garbage-collects rules stranded by deletes. Returns the number of
+  // rules removed. The updater is reusable afterwards (a new summary is
+  // built on the next operation). Damage accounting survives Finish() — a
   // checkpoint driver reads it after finishing and clears it with
   // ResetDamage().
   int Finish();
@@ -97,7 +101,8 @@ class BatchUpdater {
   }
 
  private:
-  void EnsureSnapshot();
+  // Builds the summary and seeds the size table on the first operation.
+  void EnsureSummary();
   // Bottom-up derived sizes for a freshly created subtree (inlined
   // rule body or copied insert fragment).
   void ComputeDerivedFresh(NodeId subtree_root);
@@ -108,12 +113,16 @@ class BatchUpdater {
   int64_t derived_of(NodeId v) const {
     return derived_[static_cast<size_t>(v)];
   }
+  // Nodes a start-rule node derives itself: a call its callee's
+  // material, a terminal one (the start rule holds no parameters).
+  int64_t OwnSize(LabelId l) const {
+    return g_->HasRule(l) ? summary_->MaterialSize(l) : 1;
+  }
 
   void NoteDamage(LabelId rule);
 
   Grammar* g_;
-  bool have_snapshot_ = false;
-  RuleMeta meta_;
+  std::optional<RuleSummary> summary_;  // between the first op and Finish
   std::vector<int64_t> derived_;  // by NodeId of the start rule's rhs
   std::vector<LabelId> damage_;
   std::unordered_set<LabelId> damage_seen_;

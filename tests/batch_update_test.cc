@@ -37,6 +37,7 @@
 #include "src/update/update_ops.h"
 #include "src/workload/update_workload.h"
 #include "src/xml/binary_encoding.h"
+#include "src/xml/xml_parser.h"
 
 namespace slg {
 namespace {
@@ -197,6 +198,56 @@ TEST(BatchUpdaterTest, RenameBatchMatchesSequential) {
   CollectGarbageRules(&seq);
   ASSERT_TRUE(Validate(bat).ok());
   EXPECT_EQ(FormatGrammar(bat), FormatGrammar(seq));
+}
+
+TEST(BatchUpdaterTest, FreshTagsThenEditsAfterThem) {
+  // Labels interned after the batch built its summary are terminals it
+  // has never seen: a rename to a new tag, an insert whose fragment is
+  // encoded mid-batch with more new tags, a rename inside that
+  // fragment and a delete must isolate and size exactly as applying
+  // the operations one at a time does. Each edit sits after the
+  // previous ones' positions or before every shift they cause, so the
+  // positions hold on both sides.
+  LabelTable labels;
+  Tree bin = EncodeBinary(GenerateCorpus(Corpus::kMedline, 0.015), &labels);
+  Grammar seq = TreeRePair(std::move(bin), labels, {}).grammar;
+  Grammar bat = seq.Clone();
+  std::vector<int64_t> elems;
+  {
+    Tree full = Value(seq).take();
+    int64_t pos = 0;
+    full.VisitPreorder(full.root(), [&](NodeId v) {
+      ++pos;
+      if (full.label(v) != kNullLabel) elems.push_back(pos);
+    });
+  }
+  ASSERT_GE(elems.size(), 10u);
+  const int64_t e1 = elems[elems.size() / 5];
+  const int64_t e2 = elems[2 * elems.size() / 5];
+  const int64_t e3 = elems[3 * elems.size() / 5];
+  XmlTree frag_xml = ParseXml("<fresh-b><fresh-c/></fresh-b>").take();
+
+  ASSERT_TRUE(RenameNode(&seq, e1, "fresh-a").ok());
+  Tree seq_frag = EncodeFragment(frag_xml, &seq).take();
+  ASSERT_TRUE(InsertTreeBefore(&seq, e3, seq_frag).ok());
+  ASSERT_TRUE(RenameNode(&seq, e3 + 1, "fresh-d").ok());  // fresh-c
+  ASSERT_TRUE(DeleteSubtree(&seq, e2).ok());
+
+  BatchUpdater batch(&bat);
+  ASSERT_TRUE(batch.Rename(e1, "fresh-a").ok());
+  Tree bat_frag = EncodeFragment(frag_xml, &bat).take();
+  ASSERT_TRUE(batch.InsertBefore(e3, bat_frag).ok());
+  ASSERT_TRUE(batch.Rename(e3 + 1, "fresh-d").ok());
+  ASSERT_TRUE(batch.Delete(e2).ok());
+  batch.Finish();
+
+  CollectGarbageRules(&seq);  // see BatchMatchesSequential
+  ASSERT_TRUE(Validate(bat).ok());
+  EXPECT_EQ(FormatGrammar(bat), FormatGrammar(seq));
+  Tree bat_tree = Value(bat).take();
+  EXPECT_TRUE(TreeEquals(bat_tree, Value(seq).take()));
+  EXPECT_EQ(bat.labels().Name(bat_tree.label(bat_tree.AtPreorderIndex(e1))),
+            "fresh-a");
 }
 
 TEST(BatchUpdaterTest, ApplyWorkloadBatchedRecompresses) {

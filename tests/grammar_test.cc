@@ -7,7 +7,7 @@
 
 #include "src/grammar/inliner.h"
 #include "src/grammar/orders.h"
-#include "src/grammar/rule_meta.h"
+#include "src/grammar/rule_summary.h"
 #include "src/grammar/stats.h"
 #include "src/grammar/text_format.h"
 #include "src/grammar/usage.h"
@@ -148,6 +148,24 @@ TEST(OrdersTest, AntiSlOrderIsCalleesFirst) {
   EXPECT_TRUE(IsStraightLine(g));
 }
 
+TEST(OrdersTest, AntiSlOrderBreaksTiesByCreationOrder) {
+  // Kahn's algorithm with ready rules taken in creation order (S, C, B,
+  // D, A): D and A are ready first; D readies B (C still waits for A),
+  // A readies C, and C readies S — B before C although C was created
+  // first. Repair tie-breaks and snapshot slot layouts depend on this
+  // exact order.
+  Grammar g = GrammarFromRules({
+      "S -> f(C,B)",
+      "C -> g(A,D)",
+      "B -> g(D,a)",
+      "D -> a",
+      "A -> b",
+  }).take();
+  std::vector<std::string> names;
+  for (LabelId l : AntiSlOrder(g)) names.push_back(g.labels().Name(l));
+  EXPECT_EQ(names, (std::vector<std::string>{"D", "A", "B", "C", "S"}));
+}
+
 TEST(OrdersTest, RefsComputed) {
   Grammar g = PaperGrammar();
   auto refs = ComputeRefs(g);
@@ -189,26 +207,26 @@ TEST(SizesTest, PaperExample) {
       "A -> f($1,g(h(a,$2),g(a,$3)))",
   });
   ASSERT_TRUE(g.ok()) << g.status().ToString();
-  RuleMeta meta = RuleMeta::Build(g.value(), /*with_sizes=*/true);
+  RuleSummary sum = RuleSummary::Build(g.value());
   const LabelId a = g.value().labels().Find("A");
-  ASSERT_EQ(meta.Rank(a), 3);
-  EXPECT_EQ(meta.SegSize(a, 0), 1);
-  EXPECT_EQ(meta.SegSize(a, 1), 3);
-  EXPECT_EQ(meta.SegSize(a, 2), 2);
-  EXPECT_EQ(meta.SegSize(a, 3), 0);
-  EXPECT_EQ(meta.SegTotal(a), 6);
+  ASSERT_EQ(g.value().labels().Rank(a), 3);
+  EXPECT_EQ(sum.SegSize(a, 0), 1);
+  EXPECT_EQ(sum.SegSize(a, 1), 3);
+  EXPECT_EQ(sum.SegSize(a, 2), 2);
+  EXPECT_EQ(sum.SegSize(a, 3), 0);
+  EXPECT_EQ(sum.MaterialSize(a), 6);
 }
 
 TEST(SizesTest, NestedCalls) {
   Grammar g = PaperGrammar();
-  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
+  RuleSummary sum = RuleSummary::Build(g);
   // val(S) has 15 nodes.
-  EXPECT_EQ(meta.SegTotal(g.start()), 15);
+  EXPECT_EQ(sum.MaterialSize(g.start()), 15);
   // val(A) = a(~,a(y1,y2)): segments {3, 0, 0}.
   const LabelId a = g.labels().Find("A");
-  EXPECT_EQ(meta.SegSize(a, 0), 3);
-  EXPECT_EQ(meta.SegSize(a, 1), 0);
-  EXPECT_EQ(meta.SegSize(a, 2), 0);
+  EXPECT_EQ(sum.SegSize(a, 0), 3);
+  EXPECT_EQ(sum.SegSize(a, 1), 0);
+  EXPECT_EQ(sum.SegSize(a, 2), 0);
 }
 
 TEST(ValidateTest, AcceptsPaperGrammar) {

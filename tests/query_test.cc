@@ -21,7 +21,6 @@
 
 #include "src/core/grammar_repair.h"
 #include "src/datasets/generators.h"
-#include "src/grammar/rule_meta.h"
 #include "src/grammar/rule_summary.h"
 #include "src/grammar/text_format.h"
 #include "src/grammar/value.h"
@@ -127,7 +126,7 @@ std::vector<int64_t> OracleMatches(const Tree& t, const LabelTable& labels,
 // entry's body once keeps body_nodes <= the sum of |rhs| over them.
 
 struct MemoPairs {
-  const RuleMeta& meta;
+  const Grammar& g;
   const RuleSummary& sum;
   const QueryPlan& plan;
   const std::vector<LabelId>& binding;
@@ -149,30 +148,31 @@ struct MemoPairs {
   std::vector<uint64_t> Eval(LabelId r, uint64_t q) {
     auto key = std::make_pair(r, q);
     if (auto it = exits.find(key); it != exits.end()) return it->second;
-    const Tree& t = meta.Rhs(r);
-    std::map<NodeId, uint64_t> ctx = {{meta.RhsRoot(r), q}};
+    const LabelTable& labels = g.labels();
+    const Tree& t = g.rhs(r);
+    std::map<NodeId, uint64_t> ctx = {{t.root(), q}};
+    std::vector<uint64_t> ex(static_cast<size_t>(labels.Rank(r)), 0);
     for (NodeId v : t.Preorder()) {
       uint64_t u = ctx[v];
       LabelId l = t.label(v);
-      if (meta.ParamIndex(l) > 0) continue;
+      if (int j = labels.ParamIndex(l); j > 0) {
+        ex[static_cast<size_t>(j - 1)] = u;
+        continue;
+      }
       std::vector<uint64_t> out;  // per child, in order
-      if (!meta.IsNonterminal(l)) {
+      if (!g.HasRule(l)) {
         out = {plan.Own(u, l, binding) & ~plan.AcceptBit(),
                plan.Next(u, l, binding)};
       } else if (u != 0 && !Prunable(l, u)) {
         out = Eval(l, u);
       } else {
-        out.assign(static_cast<size_t>(meta.Rank(l)), u);
+        out.assign(static_cast<size_t>(labels.Rank(l)), u);
       }
       size_t j = 0;
       for (NodeId c = t.first_child(v); c != kNilNode;
            c = t.next_sibling(c), ++j) {
         ctx[c] = j < out.size() ? out[j] : 0;
       }
-    }
-    std::vector<uint64_t> ex;
-    for (int j = 1; j <= meta.Rank(r); ++j) {
-      ex.push_back(ctx[meta.ParamNode(r, j)]);
     }
     exits[key] = ex;
     return ex;
@@ -184,17 +184,15 @@ struct MemoPairs {
 
 struct EngineFixture {
   const Grammar& g;
-  RuleMeta meta;
   RuleSummary summary;
   Tree full;
   QueryEngine engine;
 
   explicit EngineFixture(const Grammar& grammar)
       : g(grammar),
-        meta(RuleMeta::Build(g, /*with_sizes=*/true)),
-        summary(RuleSummary::Build(g, meta)),
+        summary(RuleSummary::Build(g)),
         full(Value(g).take()),
-        engine(&g, &meta, &summary) {}
+        engine(&g, &summary) {}
 
   // Every label name occurring in the document.
   std::vector<std::string> MaterialNames() const {
@@ -217,13 +215,13 @@ struct EngineFixture {
     }
     StatusOr<QueryPlan> plan = QueryPlan::Compile(q);
     ASSERT_TRUE(plan.ok());
-    MemoPairs ref{meta, summary, plan.value(), binding, {}};
+    MemoPairs ref{g, summary, plan.value(), binding, {}};
     ref.Eval(g.start(), plan.value().InitialContext());
     std::set<LabelId> rules;
     int64_t walked = 0;
     for (const auto& [key, exits] : ref.exits) {
       rules.insert(key.first);
-      walked += static_cast<int64_t>(meta.Rhs(key.first).Preorder().size());
+      walked += g.rhs(key.first).LiveCount();
     }
     EXPECT_EQ(stats.memo_entries, static_cast<int64_t>(ref.exits.size()));
     EXPECT_EQ(stats.rules_visited, static_cast<int64_t>(rules.size()));
@@ -346,9 +344,8 @@ TEST(QueryEngineTest, MemoizationBeatsDocumentSize) {
   // rules; a full count must visit each rule a constant number of
   // times, not the two million document nodes.
   Grammar g = DoublingGrammar(20);
-  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-  RuleSummary sum = RuleSummary::Build(g, meta);
-  QueryEngine eng(&g, &meta, &sum);
+  RuleSummary sum = RuleSummary::Build(g);
+  QueryEngine eng(&g, &sum);
   StatusOr<QueryResult> leaves = eng.Run("count(//a)");
   ASSERT_TRUE(leaves.ok());
   EXPECT_EQ(leaves.value().count, int64_t{1} << 20);
@@ -372,9 +369,8 @@ TEST(QueryEngineTest, NestedCallsWalkEachBodyOnce) {
   // nesting depth; re-walking the body once per level is quadratic.
   auto body_nodes = [](int k) -> int64_t {
     Grammar g = NestedCallGrammar(k);
-    RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-    RuleSummary sum = RuleSummary::Build(g, meta);
-    QueryEngine eng(&g, &meta, &sum);
+    RuleSummary sum = RuleSummary::Build(g);
+    QueryEngine eng(&g, &sum);
     std::string path = "/r";
     for (int i = 0; i < k; ++i) path += "/a";
     StatusOr<QueryResult> r = eng.Run("count(" + path + ")");

@@ -1,25 +1,22 @@
-// RuleSummary: the shared per-rule summary layer must compile every
-// rule body into preorder positions that reproduce the rule tree
-// (labels, kinds, subtree ends, child lists) and are sized by its live
-// nodes, report exact sizes and element counts, parameter intervals
-// matching the rule bodies, a label filter with no false negatives,
-// and material piece tables that tile every segment and place the
-// document's terminals at their true derived positions.
+// RuleSummary: the per-rule record must compile every rule body into
+// preorder positions that reproduce the rule tree (labels, kinds,
+// subtree ends, child lists, parameter positions) and are sized by its
+// live nodes, report exact sizes and element counts, parameter
+// intervals matching the rule bodies, a label filter with no false
+// negatives, and segment sizes and material piece tables that agree
+// with each rule materialized under marker arguments.
 
 #include "src/grammar/rule_summary.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/core/grammar_repair.h"
 #include "src/datasets/generators.h"
-#include "src/grammar/rule_meta.h"
 #include "src/grammar/text_format.h"
 #include "src/grammar/value.h"
 #include "src/xml/binary_encoding.h"
@@ -35,36 +32,60 @@ Grammar CompressedCorpus(Corpus c, double scale = 0.01) {
   return GrammarRePair(Grammar::ForTree(std::move(bin), labels), {}).grammar;
 }
 
-// Reference material label sets, computed by the recursive definition
-// the filter approximates: terminals of the body (⊥ included) plus
-// every callee's set.
-std::map<LabelId, std::set<LabelId>> MaterialLabelSets(const Grammar& g,
-                                                       const RuleMeta& meta) {
-  std::map<LabelId, std::set<LabelId>> sets;
-  std::function<const std::set<LabelId>&(LabelId)> of =
-      [&](LabelId r) -> const std::set<LabelId>& {
-    auto it = sets.find(r);
-    if (it != sets.end()) return it->second;
-    std::set<LabelId>& mine = sets[r];
-    const Tree& t = meta.Rhs(r);
-    for (NodeId v : t.Preorder()) {
-      LabelId l = t.label(v);
-      if (meta.IsNonterminal(l)) {
-        const std::set<LabelId>& cs = of(l);
-        mine.insert(cs.begin(), cs.end());
-      } else if (meta.ParamIndex(l) == 0) {
-        mine.insert(l);
-      }
+// What val(rule) looks like with distinct marker arguments: the rule
+// instantiated as rule(#1, ..., #m) on a copy of the grammar,
+// materialized, and walked in preorder. The nodes between markers are
+// the rule's material segments.
+struct Materialized {
+  std::vector<int64_t> seg_sizes;  // nodes before #1, between, after #m
+  std::vector<LabelId> material;   // material labels in derived preorder
+};
+
+std::map<LabelId, Materialized> MaterializeRules(const Grammar& g) {
+  Grammar h = g.Clone();
+  std::map<LabelId, int> marker_index;
+  std::vector<LabelId> markers;
+  g.ForEachRule([&](LabelId lhs, const Tree&) {
+    while (static_cast<int>(markers.size()) < g.labels().Rank(lhs)) {
+      int j = static_cast<int>(markers.size()) + 1;
+      markers.push_back(h.labels().Intern("#" + std::to_string(j), 0));
+      marker_index[markers.back()] = j;
     }
-    return mine;
-  };
-  g.ForEachRule([&](LabelId lhs, const Tree&) { of(lhs); });
-  return sets;
+  });
+  std::map<LabelId, Materialized> out;
+  g.ForEachRule([&](LabelId lhs, const Tree&) {
+    const int rank = g.labels().Rank(lhs);
+    Tree call;
+    NodeId root = call.NewNode(lhs);
+    call.SetRoot(root);
+    for (int j = 0; j < rank; ++j) {
+      call.AppendChild(root, call.NewNode(markers[static_cast<size_t>(j)]));
+    }
+    LabelId inst = h.labels().Intern("#inst" + std::to_string(lhs), 0);
+    h.AddRule(inst, std::move(call));
+    Tree v = ValueOf(h, inst).take();
+    Materialized& m = out[lhs];
+    m.seg_sizes.assign(static_cast<size_t>(rank) + 1, 0);
+    int cur = 0;
+    v.VisitPreorder(v.root(), [&](NodeId x) {
+      auto it = marker_index.find(v.label(x));
+      if (it != marker_index.end()) {
+        EXPECT_EQ(it->second, cur + 1) << "markers out of order";
+        cur = it->second;
+        return;
+      }
+      ++m.seg_sizes[static_cast<size_t>(cur)];
+      m.material.push_back(v.label(x));
+    });
+    EXPECT_EQ(cur, rank);
+  });
+  return out;
 }
 
 void CheckSummary(const Grammar& g) {
-  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-  RuleSummary sum = RuleSummary::Build(g, meta);
+  RuleSummary sum = RuleSummary::Build(g);
+  const LabelTable& labels = g.labels();
+  const std::map<LabelId, Materialized> ref = MaterializeRules(g);
 
   // Document-level totals against the materialization.
   EXPECT_EQ(sum.DerivedSize(), ValueNodeCount(g));
@@ -72,13 +93,32 @@ void CheckSummary(const Grammar& g) {
   EXPECT_EQ(sum.MaterialSize(g.start()), ValueNodeCount(g));
   EXPECT_EQ(sum.MaterialElements(g.start()), ValueElementCount(g));
 
+  // Segment sizes, material sizes and label filters against the
+  // materialized rules.
+  g.ForEachRule([&](LabelId lhs, const Tree&) {
+    SCOPED_TRACE("rule " + labels.Name(lhs));
+    const Materialized& m = ref.at(lhs);
+    for (int j = 0; j <= labels.Rank(lhs); ++j) {
+      EXPECT_EQ(sum.SegSize(lhs, j), m.seg_sizes[static_cast<size_t>(j)])
+          << "segment " << j;
+    }
+    EXPECT_EQ(sum.MaterialSize(lhs), static_cast<int64_t>(m.material.size()));
+    EXPECT_EQ(sum.MaterialElements(lhs),
+              static_cast<int64_t>(m.material.size()) -
+                  std::count(m.material.begin(), m.material.end(),
+                             kNullLabel));
+    for (LabelId l : m.material) {
+      EXPECT_TRUE(sum.MayContain(lhs, l)) << labels.Name(l);
+    }
+  });
+
   // The compiled body reproduces the rule tree position by position:
-  // label and kind, subtree end, child list and parent, static size (agreeing
-  // with the update path's NodeId-indexed sizing pass — one shared
-  // definition, pinned here) and the parameters occurring below.
+  // label and kind, subtree end, child list and parent, the parameters
+  // occurring below, and the static size — the subtree's nodes, a call
+  // counting its callee's materialized material.
   using BodyNode = RuleSummary::BodyNode;
   g.ForEachRule([&](LabelId lhs, const Tree& t) {
-    SCOPED_TRACE("rule " + g.labels().Name(lhs));
+    SCOPED_TRACE("rule " + labels.Name(lhs));
     std::vector<NodeId> order = t.Preorder();
     ASSERT_EQ(sum.BodySize(lhs), static_cast<int32_t>(order.size()));
     ASSERT_EQ(sum.BodySize(lhs), t.LiveCount());
@@ -86,17 +126,23 @@ void CheckSummary(const Grammar& g) {
     for (size_t i = 0; i < order.size(); ++i) {
       pos[order[i]] = static_cast<int32_t>(i);
     }
-    std::vector<int64_t> ref = ComputeStaticSizes(t, meta);
+    auto own_size = [&](LabelId l) -> int64_t {
+      if (g.HasRule(l)) return static_cast<int64_t>(ref.at(l).material.size());
+      return labels.IsParam(l) ? 0 : 1;
+    };
     const BodyNode* b = sum.Body(lhs);
     EXPECT_EQ(b[0].parent, -1);
     for (int32_t i = 0; i < sum.BodySize(lhs); ++i) {
       NodeId v = order[static_cast<size_t>(i)];
       LabelId l = t.label(v);
       EXPECT_EQ(b[i].label, l);
-      int32_t kind = meta.ParamIndex(l) > 0 ? meta.ParamIndex(l)
-                     : meta.IsNonterminal(l) ? RuleSummary::kCallKind
-                                             : RuleSummary::kTerminalKind;
+      int32_t kind = labels.ParamIndex(l) > 0 ? labels.ParamIndex(l)
+                     : g.HasRule(l)           ? RuleSummary::kCallKind
+                                              : RuleSummary::kTerminalKind;
       EXPECT_EQ(b[i].kind, kind);
+      if (kind > 0) {
+        EXPECT_EQ(sum.ParamPos(lhs, kind), i);
+      }
       EXPECT_EQ(b[i].end, i + t.SubtreeSize(v));
       std::vector<int32_t> kids;
       for (int32_t c = i + 1; c < b[i].end; c = b[c].end) kids.push_back(c);
@@ -106,74 +152,72 @@ void CheckSummary(const Grammar& g) {
       }
       EXPECT_EQ(kids, tree_kids);
       for (int32_t c : kids) EXPECT_EQ(b[c].parent, i);
-      EXPECT_EQ(sum.StaticSize(lhs, i), ref[static_cast<size_t>(v)]);
+      int64_t size = 0;
       int32_t lo = RuleSummary::kNoParamBelow;
       int32_t hi = 0;
       t.VisitPreorder(v, [&](NodeId w) {
-        if (int pj = meta.ParamIndex(t.label(w)); pj > 0) {
+        size += own_size(t.label(w));
+        if (int pj = labels.ParamIndex(t.label(w)); pj > 0) {
           lo = std::min(lo, pj);
           hi = std::max(hi, pj);
         }
       });
+      EXPECT_EQ(sum.StaticSize(lhs, i), size);
       EXPECT_EQ(sum.ParamLo(lhs, i), lo);
       EXPECT_EQ(sum.ParamHi(lhs, i), hi);
     }
   });
 
-  // Filter: no false negatives against the recursive definition.
-  std::map<LabelId, std::set<LabelId>> sets = MaterialLabelSets(g, meta);
-  for (const auto& [rule, labels] : sets) {
-    for (LabelId l : labels) {
-      EXPECT_TRUE(sum.MayContain(rule, l))
-          << "rule " << rule << " label " << g.labels().Name(l);
-    }
-  }
-
-  // Piece tables: each segment's pieces start where the previous one
-  // ended, a call piece spans its callee segment, and the segments add
-  // up to the rule's segment sizes and material size.
+  // Piece tables against the materialized rules: each segment's pieces
+  // start where the previous one ended, a terminal piece holds the
+  // materialized label at its start, and a call piece spans exactly
+  // the materialized nodes of its callee segment.
   g.ForEachRule([&](LabelId lhs, const Tree&) {
+    SCOPED_TRACE("rule " + labels.Name(lhs));
+    const std::vector<LabelId>& mine = ref.at(lhs).material;
     int64_t at = 0;
-    for (int j = 0; j <= meta.Rank(lhs); ++j) {
+    for (int j = 0; j <= labels.Rank(lhs); ++j) {
       int32_t slot = sum.SegSlot(lhs, j);
       int64_t seg_start = at;
       for (const RuleSummary::Piece* p = sum.SlotBegin(slot);
            p != sum.SlotEnd(slot); ++p) {
-        EXPECT_EQ(p->start, at) << "rule " << lhs << " segment " << j;
-        int64_t size = 1;
-        if (p->slot != RuleSummary::kTerminal) {
-          int callee_seg = p->slot - sum.SegSlot(p->label, 0);
-          ASSERT_GE(callee_seg, 0);
-          ASSERT_LE(callee_seg, meta.Rank(p->label));
-          size = meta.SegSize(p->label, callee_seg);
-          EXPECT_GT(size, 0);  // empty segments get no piece
+        EXPECT_EQ(p->start, at) << "segment " << j;
+        ASSERT_LT(at, static_cast<int64_t>(mine.size()));
+        if (p->slot == RuleSummary::kTerminal) {
+          EXPECT_EQ(p->label, mine[static_cast<size_t>(at)]);
+          ++at;
+          continue;
         }
-        at = SizeSatAdd(at, size);
+        int callee_seg = p->slot - sum.SegSlot(p->label, 0);
+        ASSERT_GE(callee_seg, 0);
+        ASSERT_LE(callee_seg, labels.Rank(p->label));
+        const Materialized& callee = ref.at(p->label);
+        int64_t from = 0;
+        for (int k = 0; k < callee_seg; ++k) {
+          from += callee.seg_sizes[static_cast<size_t>(k)];
+        }
+        int64_t size = callee.seg_sizes[static_cast<size_t>(callee_seg)];
+        EXPECT_GT(size, 0);  // empty segments get no piece
+        ASSERT_LE(at + size, static_cast<int64_t>(mine.size()));
+        EXPECT_TRUE(std::equal(mine.begin() + at, mine.begin() + at + size,
+                               callee.material.begin() + from));
+        at += size;
       }
-      EXPECT_EQ(at - seg_start, meta.SegSize(lhs, j));
+      EXPECT_EQ(at - seg_start, ref.at(lhs).seg_sizes[static_cast<size_t>(j)])
+          << "segment " << j;
     }
-    EXPECT_EQ(at, sum.MaterialSize(lhs));
+    EXPECT_EQ(at, static_cast<int64_t>(mine.size()));
   });
 
-  // The start rule's terminal pieces sit at their materialized
-  // positions, and per-slot counts match the materialized tree.
+  // Per-slot counts of the start rule match the materialized tree.
   Tree full = Value(g).take();
-  std::vector<LabelId> pre;
   std::map<LabelId, int64_t> occurrences;
-  full.VisitPreorder(full.root(), [&](NodeId v) {
-    pre.push_back(full.label(v));
-    ++occurrences[full.label(v)];
-  });
+  full.VisitPreorder(full.root(),
+                     [&](NodeId v) { ++occurrences[full.label(v)]; });
   int32_t start_slot = sum.SegSlot(g.start(), 0);
-  for (const RuleSummary::Piece* p = sum.SlotBegin(start_slot);
-       p != sum.SlotEnd(start_slot); ++p) {
-    if (p->slot != RuleSummary::kTerminal) continue;
-    ASSERT_LT(p->start, static_cast<int64_t>(pre.size()));
-    EXPECT_EQ(p->label, pre[static_cast<size_t>(p->start)]);
-  }
   for (const auto& [label, n] : occurrences) {
     EXPECT_EQ(sum.CountPerSlot(label)[static_cast<size_t>(start_slot)], n)
-        << g.labels().Name(label);
+        << labels.Name(label);
   }
   EXPECT_EQ(sum.CountPerSlot(kNoLabel)[static_cast<size_t>(start_slot)], 0);
 }
@@ -208,8 +252,7 @@ TEST(RuleSummaryTest, ParameterIntervals) {
   // parameters occurring below it. Preorder positions: g 0, $1 1,
   // h 2, $2 3, c 4.
   Grammar g = ParameterizedSiblingGrammar();
-  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-  RuleSummary sum = RuleSummary::Build(g, meta);
+  RuleSummary sum = RuleSummary::Build(g);
   LabelId a = g.labels().Find("A");
   ASSERT_NE(a, kNoLabel);
   ASSERT_EQ(sum.BodySize(a), 5);
@@ -246,8 +289,7 @@ TEST(RuleSummaryTest, BodiesAreSizedByLiveNodes) {
   const int64_t id_space = int64_t{max_id} + 1;
   ASSERT_GE(id_space, 10 * int64_t{t.LiveCount()})
       << "id space " << id_space << ", live " << t.LiveCount();
-  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-  RuleSummary sum = RuleSummary::Build(g, meta);
+  RuleSummary sum = RuleSummary::Build(g);
   g.ForEachRule([&](LabelId lhs, const Tree& rhs) {
     EXPECT_EQ(sum.BodySize(lhs), rhs.LiveCount());
   });
@@ -266,8 +308,7 @@ TEST(RuleSummaryTest, SaturatedPieceStarts) {
   }
   rules.push_back("A80 -> a");
   Grammar g = GrammarFromRules(rules).take();
-  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-  RuleSummary sum = RuleSummary::Build(g, meta);
+  RuleSummary sum = RuleSummary::Build(g);
   std::vector<int64_t> starts;
   int32_t slot = sum.SegSlot(g.start(), 0);
   for (const RuleSummary::Piece* p = sum.SlotBegin(slot);
@@ -283,8 +324,7 @@ TEST(RuleSummaryTest, PieceTable) {
   // g $1 h $2 c: segment 0 = [g], 1 = [h], 2 = [c]. S's walk
   // interleaves A's segments with the call arguments.
   Grammar g = ParameterizedSiblingGrammar();
-  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-  RuleSummary sum = RuleSummary::Build(g, meta);
+  RuleSummary sum = RuleSummary::Build(g);
   LabelId a = g.labels().Find("A");
   auto pieces = [&](LabelId rule, int j) {
     std::vector<std::string> out;

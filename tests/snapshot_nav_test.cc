@@ -14,7 +14,6 @@
 #include "src/core/grammar_repair.h"
 #include "src/datasets/generators.h"
 #include "tests/exponential_grammars.h"
-#include "src/grammar/rule_meta.h"
 #include "src/grammar/text_format.h"
 #include "src/grammar/value.h"
 #include "src/xml/binary_encoding.h"
@@ -34,8 +33,8 @@ Grammar CompressedCorpus(Corpus c) {
 // at every position, FindLabel at the first, a middle and the last
 // occurrence of every label — at every occurrence of `every_k`.
 void CrossCheck(const Grammar& g, LabelId every_k = kNoLabel) {
-  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-  SnapshotNav nav(&g, &meta);
+  RuleSummary sum = RuleSummary::Build(g);
+  SnapshotNav nav(&sum);
 
   Tree full = Value(g).take();
   std::vector<LabelId> expect;
@@ -105,8 +104,8 @@ TEST(SnapshotNavTest, DeepSharedChain) {
   // Exponential derived size from a logarithmic grammar: navigation
   // must stay exact without materializing the 2^7-deep chain.
   Grammar g = ParameterizedChainGrammar(8);
-  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-  SnapshotNav nav(&g, &meta);
+  RuleSummary sum = RuleSummary::Build(g);
+  SnapshotNav nav(&sum);
   EXPECT_EQ(nav.DerivedSize(), ValueNodeCount(g));
   CrossCheck(g);
 }
@@ -170,8 +169,8 @@ TEST(SnapshotNavTest, SaturatedDerivedSize) {
   // and positions up to the cap must still be exact.
   constexpr int kHeight = 80;
   Grammar g = DoublingGrammar(kHeight);
-  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-  SnapshotNav nav(&g, &meta);
+  RuleSummary sum = RuleSummary::Build(g);
+  SnapshotNav nav(&sum);
   ASSERT_EQ(nav.DerivedSize(), kSizeCap);
 
   std::vector<int64_t> probes;
