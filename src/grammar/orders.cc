@@ -1,59 +1,50 @@
 #include "src/grammar/orders.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace slg {
 
 namespace {
 
-// Kahn-style topological sort over the "calls" relation. Returns true
-// on success (acyclic); `order` receives callees-first order, ready
-// rules taken in creation order. Every table is a flat array indexed
-// by label: this runs on every snapshot publish and repair round.
-bool TopoSort(const Grammar& g, std::vector<LabelId>* order) {
-  const size_t n = static_cast<size_t>(g.labels().size());
-  std::vector<LabelId> rules;  // creation order
-  // pending[R] = number of distinct callees of R not yet emitted; the
-  // callers of Q, once each and in creation order, are
-  // callers[caller_first[Q] .. caller_first[Q + 1]).
-  std::vector<int32_t> pending(n, 0);
-  std::vector<uint32_t> caller_first(n + 1, 0);
-  std::vector<std::pair<LabelId, LabelId>> edges;  // (callee, caller)
-  std::vector<LabelId> callees;
+// Per-rule list of distinct callees.
+std::unordered_map<LabelId, std::vector<LabelId>> Callees(const Grammar& g) {
+  std::unordered_map<LabelId, std::vector<LabelId>> out;
   g.ForEachRule([&](LabelId lhs, const Tree& rhs) {
-    rules.push_back(lhs);
-    callees.clear();
+    std::vector<LabelId>& callees = out[lhs];
     rhs.VisitPreorder(rhs.root(), [&](NodeId v) {
       LabelId l = rhs.label(v);
       if (g.IsNonterminal(l)) callees.push_back(l);
     });
     std::sort(callees.begin(), callees.end());
     callees.erase(std::unique(callees.begin(), callees.end()), callees.end());
-    pending[static_cast<size_t>(lhs)] = static_cast<int32_t>(callees.size());
-    for (LabelId q : callees) {
-      edges.emplace_back(q, lhs);
-      ++caller_first[static_cast<size_t>(q) + 1];
-    }
   });
-  for (size_t l = 0; l < n; ++l) caller_first[l + 1] += caller_first[l];
-  std::vector<LabelId> callers(edges.size());
-  std::vector<uint32_t> fill(caller_first.begin(), caller_first.end() - 1);
-  for (const auto& [q, r] : edges) {
-    callers[fill[static_cast<size_t>(q)]++] = r;
+  return out;
+}
+
+// Kahn-style topological sort over the "calls" relation. Returns true
+// on success (acyclic); `order` receives callees-first order.
+bool TopoSort(const Grammar& g, std::vector<LabelId>* order) {
+  auto callees = Callees(g);
+  std::vector<LabelId> rules = g.Nonterminals();
+  // out_deg[R] = number of callees of R not yet emitted.
+  std::unordered_map<LabelId, int> pending;
+  std::unordered_map<LabelId, std::vector<LabelId>> callers;
+  for (LabelId r : rules) {
+    pending[r] = static_cast<int>(callees[r].size());
+    for (LabelId q : callees[r]) callers[q].push_back(r);
   }
-  // `order` doubles as the ready queue.
+  // Ready queue kept in deterministic (creation) order.
+  std::vector<LabelId> ready;
+  for (LabelId r : rules) {
+    if (pending[r] == 0) ready.push_back(r);
+  }
   order->clear();
   order->reserve(rules.size());
-  for (LabelId r : rules) {
-    if (pending[static_cast<size_t>(r)] == 0) order->push_back(r);
-  }
-  for (size_t i = 0; i < order->size(); ++i) {
-    const size_t q = static_cast<size_t>((*order)[i]);
-    for (uint32_t e = caller_first[q]; e < caller_first[q + 1]; ++e) {
-      if (--pending[static_cast<size_t>(callers[e])] == 0) {
-        order->push_back(callers[e]);
-      }
+  for (size_t i = 0; i < ready.size(); ++i) {
+    LabelId q = ready[i];
+    order->push_back(q);
+    for (LabelId r : callers[q]) {
+      if (--pending[r] == 0) ready.push_back(r);
     }
   }
   return order->size() == rules.size();

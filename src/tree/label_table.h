@@ -12,11 +12,18 @@
 //  * everything else: ordinary ranked symbols. Whether such a symbol is
 //    a terminal or a nonterminal is a property of a Grammar (a label is
 //    a nonterminal iff the grammar has a rule for it), not of the table.
+//
+// Copies share the spellings and the name index until one side interns
+// a label, so copying a table (every Grammar::Clone does, once per
+// service write) copies only the flat rank arrays. A copy may be read
+// on any thread while the table it was copied from keeps interning.
 
 #ifndef SLG_TREE_LABEL_TABLE_H_
 #define SLG_TREE_LABEL_TABLE_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -35,8 +42,10 @@ class LabelTable {
  public:
   LabelTable();
 
-  LabelTable(const LabelTable&) = default;
-  LabelTable& operator=(const LabelTable&) = default;
+  LabelTable(const LabelTable& o);
+  LabelTable& operator=(const LabelTable& o);
+  LabelTable(LabelTable&&) = default;
+  LabelTable& operator=(LabelTable&&) = default;
 
   // Interns `name` with the given rank. If the name already exists its
   // rank must match (checked).
@@ -54,14 +63,16 @@ class LabelTable {
   // digram nonterminals and exported fragment rules.
   LabelId Fresh(std::string_view prefix, int rank);
 
-  const std::string& Name(LabelId id) const { return entries_[Index(id)].name; }
-  int Rank(LabelId id) const { return entries_[Index(id)].rank; }
+  const std::string& Name(LabelId id) const {
+    return names_->names[Index(id)];
+  }
+  int Rank(LabelId id) const { return rank_[Index(id)]; }
 
   // 1-based parameter index, or 0 if `id` is not a parameter.
-  int ParamIndex(LabelId id) const { return entries_[Index(id)].param_index; }
+  int ParamIndex(LabelId id) const { return param_index_[Index(id)]; }
   bool IsParam(LabelId id) const { return ParamIndex(id) > 0; }
 
-  int size() const { return static_cast<int>(entries_.size()); }
+  int size() const { return static_cast<int>(rank_.size()); }
 
   // State of the Fresh() name generator. Serialized with the grammar
   // image: fresh-name generation is history-dependent (the counter is
@@ -74,20 +85,33 @@ class LabelTable {
   void set_fresh_counter(int counter) { fresh_counter_ = counter; }
 
  private:
-  struct Entry {
-    std::string name;
-    int rank = 0;
-    int param_index = 0;  // 1-based; 0 means not a parameter.
+  // Spellings by id and the name index. Once a second table refers to
+  // a block, `shared` is set and the block is never written again:
+  // the next Add on either table copies it first. The flag is atomic
+  // because several threads may copy one const table at once (the
+  // writer and the merge thread both clone the served grammar).
+  struct Names {
+    std::vector<std::string> names;
+    std::unordered_map<std::string, LabelId> by_name;
+    std::atomic<bool> shared{false};
+
+    Names() = default;
+    Names(const Names& o) : names(o.names), by_name(o.by_name) {}
   };
 
   size_t Index(LabelId id) const {
-    SLG_DCHECK(id >= 0 && id < static_cast<LabelId>(entries_.size()));
+    SLG_DCHECK(id >= 0 && id < static_cast<LabelId>(rank_.size()));
     return static_cast<size_t>(id);
   }
 
-  std::vector<Entry> entries_;
-  std::unordered_map<std::string, LabelId> by_name_;
-  std::vector<LabelId> params_;  // params_[i] = label of y_{i+1}.
+  // Appends a label that Find does not know; returns its id.
+  LabelId Add(std::string name, int rank, int param_index);
+
+  // Null only in a moved-from table.
+  std::shared_ptr<Names> names_;
+  std::vector<int32_t> rank_;
+  std::vector<int32_t> param_index_;  // 1-based; 0 means not a parameter.
+  std::vector<LabelId> params_;       // params_[i] = label of y_{i+1}.
   int fresh_counter_ = 0;
 };
 

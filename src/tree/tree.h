@@ -76,6 +76,10 @@ class Tree {
   // Number of live (allocated, not freed) nodes.
   int LiveCount() const { return live_count_; }
 
+  // One past the largest NodeId this arena has handed out: the length
+  // of an array indexed by NodeId.
+  NodeId IdBound() const { return static_cast<NodeId>(nodes_.size()); }
+
   // Number of nodes in the subtree rooted at v.
   int SubtreeSize(NodeId v) const;
 

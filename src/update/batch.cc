@@ -1,6 +1,5 @@
 #include "src/update/batch.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -19,10 +18,8 @@ void BatchUpdater::EnsureSummary() {
   // with their derived sizes.
   const Tree& t = g_->rhs(g_->start());
   const RuleSummary::BodyNode* b = summary_->Body(g_->start());
+  derived_.assign(static_cast<size_t>(t.IdBound()), 0);
   t.VisitPreorder(t.root(), [&](NodeId v) {
-    if (static_cast<size_t>(v) >= derived_.size()) {
-      derived_.resize(static_cast<size_t>(v) + 1, 0);
-    }
     derived_[static_cast<size_t>(v)] = (b++)->static_size;
   });
 }
@@ -38,9 +35,7 @@ void BatchUpdater::ComputeDerivedFresh(NodeId subtree_root) {
   // partially decompresses) or a copied insert fragment.
   edges_added_ += static_cast<int64_t>(fresh.size());
   NoteDamage(g_->start());
-  NodeId max_id = static_cast<NodeId>(derived_.size()) - 1;
-  for (NodeId f : fresh) max_id = std::max(max_id, f);
-  derived_.resize(static_cast<size_t>(max_id) + 1, 0);
+  derived_.resize(static_cast<size_t>(t.IdBound()), 0);
   for (auto it = fresh.rbegin(); it != fresh.rend(); ++it) {
     NodeId u = *it;
     int64_t n = OwnSize(t.label(u));

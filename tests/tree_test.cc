@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "src/tree/label_table.h"
 #include "src/tree/tree_hash.h"
 #include "src/tree/tree_io.h"
@@ -47,6 +50,67 @@ TEST(LabelTableTest, FreshAvoidsCollisions) {
   EXPECT_EQ(t.Rank(f), 1);
   LabelId g = t.Fresh("X", 2);
   EXPECT_NE(f, g);
+}
+
+TEST(LabelTableTest, CopiesInternIndependently) {
+  LabelTable a;
+  LabelId f = a.Intern("f", 2);
+  LabelTable b = a;
+  LabelTable c;
+  c = b;
+  // Each side's new label is invisible to the others, in both
+  // directions, and the shared labels keep their ids.
+  LabelId g = a.Intern("g", 0);
+  LabelId h = b.Intern("h", 1);
+  LabelId y1 = c.Param(1);
+  LabelId x = c.Fresh("X", 3);
+  EXPECT_EQ(a.Find("h"), kNoLabel);
+  EXPECT_EQ(b.Find("g"), kNoLabel);
+  EXPECT_EQ(a.Find("$1"), kNoLabel);
+  EXPECT_EQ(b.Find(c.Name(x)), kNoLabel);
+  EXPECT_EQ(c.Find("g"), kNoLabel);
+  EXPECT_EQ(c.Find("h"), kNoLabel);
+  EXPECT_EQ(g, h);  // the same next id, in two separate tables
+  EXPECT_EQ(a.Name(g), "g");
+  EXPECT_EQ(b.Name(h), "h");
+  EXPECT_EQ(a.Rank(g), 0);
+  EXPECT_EQ(b.Rank(h), 1);
+  EXPECT_EQ(c.ParamIndex(y1), 1);
+  EXPECT_EQ(c.Rank(x), 3);
+  EXPECT_EQ(a.size(), 3);
+  EXPECT_EQ(b.size(), 3);
+  EXPECT_EQ(c.size(), 4);
+  for (const LabelTable* t : {&a, &b, &c}) {
+    EXPECT_EQ(t->Find("f"), f);
+    EXPECT_EQ(t->Name(f), "f");
+    EXPECT_EQ(t->Rank(f), 2);
+    EXPECT_EQ(t->Find("~"), kNullLabel);
+  }
+}
+
+TEST(LabelTableTest, CopiesAndMovesShareSpellingsUntilInterning) {
+  LabelTable a;
+  LabelId f = a.Intern("f", 2);
+  const std::string* spelled = &a.Name(f);
+  LabelTable b = a;
+  EXPECT_EQ(&b.Name(f), spelled);  // a copy shares the spellings
+  LabelTable c = std::move(b);
+  EXPECT_EQ(&c.Name(f), spelled);  // a move takes them as they are
+  c.Intern("g", 0);
+  EXPECT_NE(&c.Name(f), spelled);  // interning detaches the copy
+  EXPECT_EQ(&a.Name(f), spelled);
+  EXPECT_EQ(c.Name(f), "f");
+}
+
+TEST(LabelTableTest, MovedFromTableCanBeReassigned) {
+  LabelTable a;
+  LabelId f = a.Intern("f", 2);
+  LabelTable b = std::move(a);
+  EXPECT_EQ(b.Find("f"), f);
+  a = b;
+  EXPECT_EQ(a.Find("f"), f);
+  a.Intern("g", 0);
+  EXPECT_EQ(b.Find("g"), kNoLabel);
 }
 
 class TreeTest : public ::testing::Test {
