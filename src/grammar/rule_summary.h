@@ -86,10 +86,7 @@ class RuleSummary {
   static constexpr int32_t kNoParamBelow = std::numeric_limits<int32_t>::max();
 
   // One position of a compiled rule body (see the header comment).
-  // Aligned to its 32-byte size so that no node straddles two cache
-  // lines wherever the allocator places the array; unaligned, query
-  // timings moved by about 5% with unrelated allocation changes.
-  struct alignas(32) BodyNode {
+  struct BodyNode {
     LabelId label;
     int32_t kind;    // kTerminalKind, kCallKind, or parameter index j >= 1
     int32_t end;     // one past the last position of the subtree
